@@ -13,29 +13,19 @@
 //   3. tuple_ops_per_sec     — row construction, refcounted copy and
 //                              WireSize accounting (the per-tuple tax of
 //                              the exchange machinery).
-//   4. sharded_events_per_sec_{1,2,4}
-//                            — the same event mix on the conservative
-//                              sharded kernel (D15) at 1, 2 and 4 shards,
-//                              with cross-shard sends at the lookahead
-//                              bound; sharded_speedup_4x is the 4-shard
-//                              aggregate over the 1-shard run and
-//                              hw_threads records how many cores the host
-//                              actually had (speedup is bounded by it).
-//   5. chaos_batch_wall_ms   — end-to-end wall-clock for a fixed batch of
+//   4. chaos_batch_wall_ms   — end-to-end wall-clock for a fixed batch of
 //                              pinned chaos seeds (full stack).
-//   6. fig4_wall_ms          — end-to-end wall-clock for one Fig. 4 cell
+//   5. fig4_wall_ms          — end-to-end wall-clock for one Fig. 4 cell
 //                              (Q1, retrospective, 3 evaluators, 2
 //                              perturbed 20x), the workload the ISSUE's
 //                              speedup target is stated against.
 //
+// hw_threads records how many hardware threads the host had.
+//
 // Modes:
 //   bench_hotpath                      measure and write BENCH_hotpath.json
-//   bench_hotpath --shards N           measure ONLY the sharded event
-//                                      kernel at N shards and print it (no
-//                                      JSON write; exploration mode)
-//   bench_hotpath --check <baseline>   additionally compare events_per_sec,
-//                                      join_tuples_per_sec and
-//                                      sharded_events_per_sec_4 against the
+//   bench_hotpath --check <baseline>   additionally compare events_per_sec
+//                                      and join_tuples_per_sec against the
 //                                      checked-in baseline and exit 1 on a
 //                                      >20% regression (CI perf-smoke;
 //                                      tolerance overridable via
@@ -45,15 +35,13 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <vector>
-
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "exec/operators.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "storage/tuple.h"
 
@@ -105,59 +93,6 @@ double BenchEvents(uint64_t target_events) {
     for (int i = 0; i < kChains; ++i) {
       const double period = 1.0 + 0.1 * i;
       sim.Schedule(period, ChainFn{&sim, &fired, target_events, period});
-    }
-    const auto start = Clock::now();
-    sim.RunToCompletion();
-    const double secs = SecondsSince(start);
-    best = std::max(best, static_cast<double>(sim.events_executed()) / secs);
-  }
-  return best;
-}
-
-// ---- 1b. sharded event kernel (D15) -------------------------------------
-
-// The BenchEvents mix on the conservative parallel kernel: per-shard
-// chains of local fire/reschedule + schedule/cancel pairs, with every
-// 16th firing sending a cross-shard no-op at exactly now + lookahead (the
-// tightest legal send, so windows stay as small as the protocol allows —
-// the worst case for barrier overhead).
-struct ShardChainFn {
-  ShardedSimulator* sim;
-  int shard;
-  uint64_t* fired;  // shard-confined: only this shard's worker touches it
-  uint64_t target;
-  double period;
-
-  void operator()() const {
-    ++*fired;
-    Simulator* local = sim->shard(shard);
-    const EventId timer = local->Schedule(3 * period, [] {});
-    local->Cancel(timer);
-    if (*fired % 16 == 0 && sim->num_shards() > 1) {
-      sim->ScheduleCrossAt((shard + 1) % sim->num_shards(),
-                           local->Now() + 1.0, [] {});
-    }
-    if (*fired < target) local->Schedule(period, *this);
-  }
-};
-
-double BenchShardedEvents(int shards, uint64_t target_per_shard) {
-  double best = 0;
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    ShardedSimulator sim(shards, /*lookahead_ms=*/1.0);
-    // Padded per-shard counters: adjacent uint64_t would false-share.
-    struct alignas(64) Counter {
-      uint64_t fired = 0;
-    };
-    std::vector<Counter> fired(static_cast<size_t>(shards));
-    constexpr int kChainsPerShard = 16;
-    for (int s = 0; s < shards; ++s) {
-      for (int i = 0; i < kChainsPerShard; ++i) {
-        const double period = 1.0 + 0.1 * i;
-        sim.shard(s)->Schedule(
-            period, ShardChainFn{&sim, s, &fired[static_cast<size_t>(s)].fired,
-                                 target_per_shard, period});
-      }
     }
     const auto start = Clock::now();
     sim.RunToCompletion();
@@ -331,37 +266,17 @@ double BenchFig4() {
 
 int main(int argc, char** argv) {
   const char* baseline_path = nullptr;
-  int only_shards = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      only_shards = std::atoi(argv[++i]);
-      if (only_shards < 1) {
-        std::fprintf(stderr, "--shards wants a positive count\n");
-        return 2;
-      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--shards N] [--check <BENCH_hotpath.json>]\n",
+      std::fprintf(stderr, "usage: %s [--check <BENCH_hotpath.json>]\n",
                    argv[0]);
       return 2;
     }
   }
 
   const int reps = Repetitions();
-  const uint64_t shard_target = 150'000ULL * static_cast<uint64_t>(reps);
-
-  if (only_shards > 0) {
-    Banner("Hot-path wall-clock benchmark (sharded kernel only)",
-           "conservative parallel event kernel, D15");
-    const double per_sec = BenchShardedEvents(only_shards, shard_target);
-    std::printf("%-24s %14.0f events/s   (%d shards, %u hw threads)\n",
-                "sharded event kernel", per_sec, only_shards,
-                std::thread::hardware_concurrency());
-    return 0;
-  }
-
   Banner("Hot-path wall-clock benchmark",
          "event kernel / hash join / tuple layer / end-to-end");
 
@@ -399,21 +314,8 @@ int main(int argc, char** argv) {
   std::printf("%-24s %14.0f rows/s\n", "tuple layer", tuple_ops_per_sec);
   metrics.Set("tuple_ops_per_sec", tuple_ops_per_sec);
 
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  double sharded_per_sec[3] = {0, 0, 0};
-  const int shard_counts[3] = {1, 2, 4};
-  for (int i = 0; i < 3; ++i) {
-    sharded_per_sec[i] = BenchShardedEvents(shard_counts[i], shard_target);
-    std::printf("%-24s %14.0f events/s   (%d shards)\n",
-                "sharded event kernel", sharded_per_sec[i], shard_counts[i]);
-    metrics.Set(StrCat("sharded_events_per_sec_", shard_counts[i]),
-                sharded_per_sec[i]);
-  }
-  const double speedup_4x = sharded_per_sec[2] / sharded_per_sec[0];
-  std::printf("%-24s %14.2f x          (%u hw threads)\n",
-              "sharded speedup 4x", speedup_4x, hw_threads);
-  metrics.Set("sharded_speedup_4x", speedup_4x);
-  metrics.Set("hw_threads", static_cast<double>(hw_threads));
+  metrics.Set("hw_threads",
+              static_cast<double>(std::thread::hardware_concurrency()));
 
   const double chaos_ms = BenchChaosBatch();
   std::printf("%-24s %14.1f wall ms    (seeds 1,13,29,47,87)\n",
@@ -437,20 +339,9 @@ int main(int argc, char** argv) {
       const char* key;
       double measured;
     } gates[] = {{"events_per_sec", events_per_sec},
-                 {"join_tuples_per_sec", join_tuples_per_sec},
-                 {"sharded_events_per_sec_4", sharded_per_sec[2]}};
+                 {"join_tuples_per_sec", join_tuples_per_sec}};
     bool failed = false;
     for (const auto& gate : gates) {
-      if (hw_threads <= 1 &&
-          std::strcmp(gate.key, "sharded_events_per_sec_4") == 0) {
-        // On a single hardware thread the 4-shard kernel is all
-        // synchronization overhead; comparing it against a baseline
-        // recorded on a multi-core host only measures the host.
-        std::printf("\nperf check: %s skipped (1 hw thread; the 4-shard "
-                    "kernel cannot beat its baseline without cores)\n",
-                    gate.key);
-        continue;
-      }
       double baseline = 0.0;
       if (!ReadJsonMetric(baseline_path, gate.key, &baseline)) {
         std::fprintf(stderr, "FATAL: no %s in %s\n", gate.key, baseline_path);

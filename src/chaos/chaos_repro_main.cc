@@ -49,9 +49,6 @@ void Usage(const char* argv0) {
       "  --no-flow-control force flow control off (A/B against a flow-"
       "control profile)\n"
       "  --vectorized      batch-at-a-time operator execution (D13)\n"
-      "  --shards=N        run the conservative sharded kernel with N "
-      "event shards (D15)\n"
-      "  --sequential      force the classic sequential kernel (default)\n"
       "  --trace           dump the full event trace of the first run\n",
       argv0);
 }
@@ -64,7 +61,6 @@ int main(int argc, char** argv) {
   bool dump_trace = false;
   bool no_flow_control = false;
   bool vectorized = false;
-  int shards = 1;
   gqp::chaos::ChaosProfile profile = gqp::chaos::ChaosProfile::kStandard;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -96,14 +92,6 @@ int main(int argc, char** argv) {
       no_flow_control = true;
     } else if (std::strcmp(arg, "--vectorized") == 0) {
       vectorized = true;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = std::atoi(arg + 9);
-      if (shards < 1) {
-        std::fprintf(stderr, "invalid shard count: '%s'\n", arg + 9);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--sequential") == 0) {
-      shards = 1;
     } else if (std::strcmp(arg, "--trace") == 0) {
       dump_trace = true;
     } else if (std::strcmp(arg, "--verbose") == 0) {
@@ -129,8 +117,6 @@ int main(int argc, char** argv) {
 
   gqp::chaos::ChaosRunOptions options;
   options.keep_trace = true;
-  options.shards = shards;
-  if (shards > 1) std::printf("kernel: %d event shards (D15)\n", shards);
   const gqp::chaos::ChaosRunResult first =
       gqp::chaos::RunScenario(scenario, options);
   const gqp::chaos::ChaosRunResult second =

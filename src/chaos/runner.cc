@@ -79,11 +79,6 @@ ChaosRunResult RunTenantStorm(const ChaosScenario& scenario,
   ChaosRunResult result;
   const std::string repro =
       ReproCommand(scenario.seed, scenario.profile, scenario.vectorized);
-  if (options.shards > 1) {
-    result.status = Status::InvalidArgument(
-        "tenant-storm scenarios run on the sequential kernel only");
-    return result;
-  }
 
   GridOptions grid_options;
   grid_options.num_evaluators = scenario.num_evaluators;
@@ -322,42 +317,15 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   grid_options.loss_rate = scenario.loss_rate;
   grid_options.loss_seed = scenario.seed ^ 0x1055C0DEULL;
   grid_options.standby_enabled = scenario.standby;
-  grid_options.shards = options.shards;
-  grid_options.shard_rng_streams = options.shard_rng_streams;
-  if (options.shards > 1) {
-    // Conservative lookahead must lower-bound every latency the run will
-    // ever see, including mid-run link shifts.
-    double min_latency = scenario.initial_link.latency_ms;
-    for (const LinkShiftEvent& ev : scenario.link_shifts) {
-      min_latency = std::min(min_latency, ev.params.latency_ms);
-    }
-    grid_options.lookahead_override_ms = min_latency;
-  }
 
   GridSetup grid(grid_options);
   result.status = grid.Initialize();
   if (!result.status.ok()) return result;
 
-  ShardedSimulator* ssim = grid.sharded_simulator();
+  Simulator* sim = grid.simulator();
   EventTraceRecorder recorder(options.keep_trace);
-  ShardedEventTraceRecorder sharded_recorder(options.keep_trace);
-  if (ssim != nullptr) {
-    sharded_recorder.Attach(ssim);
-    ssim->set_max_events(options.max_events);
-  } else {
-    recorder.Attach(grid.simulator());
-    grid.simulator()->set_max_events(options.max_events);
-  }
-  // Chaos events mutate state across hosts (link tables, down sets, node
-  // kills); in a sharded run they execute as stop-the-world globals.
-  const auto schedule_chaos = [&grid, ssim](double at_ms,
-                                            std::function<void()> fn) {
-    if (ssim != nullptr) {
-      ssim->ScheduleGlobalAt(at_ms, std::move(fn));
-    } else {
-      grid.simulator()->Schedule(at_ms, std::move(fn));
-    }
-  };
+  recorder.Attach(sim);
+  sim->set_max_events(options.max_events);
 
   // Datasets, seeded from the scenario (same derivation as the experiment
   // harness so chaos results stay comparable to the paper runs).
@@ -387,36 +355,37 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
     if (ev.at_ms <= 0.0) {
       InstallPerturbation(&grid, ev, tag);
     } else {
-      schedule_chaos(ev.at_ms,
-                     [&grid, &ev, tag] { InstallPerturbation(&grid, ev, tag); });
+      sim->ScheduleAt(ev.at_ms, [&grid, &ev, tag] {
+        InstallPerturbation(&grid, ev, tag);
+      });
     }
   }
   for (const FailureEvent& ev : scenario.failures) {
-    schedule_chaos(ev.at_ms,
-                   [&grid, &ev] { (void)grid.FailEvaluator(ev.evaluator); });
+    sim->ScheduleAt(ev.at_ms,
+                    [&grid, &ev] { (void)grid.FailEvaluator(ev.evaluator); });
   }
   for (const LinkShiftEvent& ev : scenario.link_shifts) {
-    schedule_chaos(ev.at_ms,
-                   [&grid, &ev] { grid.network()->SetAllLinks(ev.params); });
+    sim->ScheduleAt(ev.at_ms,
+                    [&grid, &ev] { grid.network()->SetAllLinks(ev.params); });
   }
   for (const PartitionEvent& ev : scenario.partitions) {
-    schedule_chaos(ev.at_ms, [&grid, &ev] {
+    sim->ScheduleAt(ev.at_ms, [&grid, &ev] {
       grid.network()->BeginPartition(grid.evaluator_node(ev.evaluator)->id());
     });
-    schedule_chaos(ev.at_ms + ev.duration_ms, [&grid, &ev] {
+    sim->ScheduleAt(ev.at_ms + ev.duration_ms, [&grid, &ev] {
       grid.network()->EndPartition(grid.evaluator_node(ev.evaluator)->id());
     });
   }
   for (const StallEvent& ev : scenario.stalls) {
-    schedule_chaos(ev.at_ms, [&grid, &ev] {
+    sim->ScheduleAt(ev.at_ms, [&grid, &ev] {
       if (Heartbeater* hb = grid.heartbeater(ev.evaluator)) {
         hb->Stall(ev.at_ms + ev.duration_ms);
       }
     });
   }
   if (scenario.coordinator_kill) {
-    schedule_chaos(scenario.coordinator_kill_at_ms,
-                   [&grid] { (void)grid.FailCoordinator(); });
+    sim->ScheduleAt(scenario.coordinator_kill_at_ms,
+                    [&grid] { (void)grid.FailCoordinator(); });
   }
 
   QueryOptions query_options;
@@ -457,10 +426,7 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
     if (q.kind == QueryKind::kQ2) {
       extra_options.adaptivity.response = ResponseType::kRetrospective;
     }
-    // Submission only touches coordinator-host state (plus messages), so
-    // in a sharded run it is an ordinary event on the coordinator's shard,
-    // not a stop-the-world global.
-    grid.SimForHost(0)->ScheduleAt(
+    sim->ScheduleAt(
         q.submit_at_ms, [&grid, &extra_ids, i, q, extra_options] {
           Result<int> id =
               grid.gdqs()->SubmitQuery(QuerySql(q.kind), extra_options);
@@ -469,23 +435,12 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   }
 
   // --- invariant (d): termination --------------------------------------
-  Status run_status;
-  if (ssim != nullptr) {
-    run_status = ssim->Run();
-    ShardedEventTraceRecorder::Detach(ssim);
-    sharded_recorder.Finalize();
-    result.trace_hash = sharded_recorder.hash();
-    result.trace_events = sharded_recorder.events();
-    if (options.keep_trace) result.trace = sharded_recorder.trace();
-    result.final_time_ms = ssim->Now();
-  } else {
-    run_status = grid.simulator()->Run();
-    EventTraceRecorder::Detach(grid.simulator());
-    result.trace_hash = recorder.hash();
-    result.trace_events = recorder.events();
-    if (options.keep_trace) result.trace = recorder.trace();
-    result.final_time_ms = grid.simulator()->Now();
-  }
+  const Status run_status = sim->Run();
+  EventTraceRecorder::Detach(sim);
+  result.trace_hash = recorder.hash();
+  result.trace_events = recorder.events();
+  if (options.keep_trace) result.trace = recorder.trace();
+  result.final_time_ms = sim->Now();
 
   // After a takeover the standby is the authority for every original query
   // id (it proxies retried incarnations and serves mirrored results);
@@ -564,8 +519,7 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   if (!result.completed) {
     result.violations.push_back(StrCat(
         "[termination] query never completed (events=",
-        ssim != nullptr ? ssim->events_executed()
-                        : grid.simulator()->events_executed(),
+        sim->events_executed(),
         ", t=", result.final_time_ms, " ms) — repro: ", repro,
         DumpExecutors(&grid, *query)));
     return result;

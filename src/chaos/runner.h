@@ -30,18 +30,6 @@ struct ChaosRunOptions {
   /// Per-scenario event budget: a runaway loop becomes a termination
   /// violation instead of a hung test.
   uint64_t max_events = 30'000'000ULL;
-  /// Event shards of the kernel (D15). 1 = the classic sequential
-  /// simulator, byte-identical to all recorded golden traces. >1 runs the
-  /// conservative parallel kernel; per-query results and invariant
-  /// outcomes match sequential runs, traces and stats orderings need not.
-  /// The runner derives the lookahead from the minimum link latency the
-  /// scenario will ever configure (initial link and every link shift).
-  int shards = 1;
-  /// Sequential-only knob for the differential suite: draw loss/jitter
-  /// from the sharded kernel's shard-invariant RNG streams so the
-  /// reference run sees the exact drop/retransmit pattern sharded runs do.
-  /// Golden-fingerprint runs never set this (it perturbs their streams).
-  bool shard_rng_streams = false;
 };
 
 /// Outcome of one query of a chaos run (every run has at least the base

@@ -1,5 +1,6 @@
 #include "chaos/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -31,58 +32,6 @@ void EventTraceRecorder::Record(SimTime time, EventId id) {
   }
   ++events_;
   if (keep_full_) trace_.append(line, static_cast<size_t>(n));
-}
-
-void ShardedEventTraceRecorder::Attach(ShardedSimulator* sim) {
-  per_shard_.assign(static_cast<size_t>(sim->num_shards()), {});
-  for (int s = 0; s < sim->num_shards(); ++s) {
-    std::vector<Entry>* buf = &per_shard_[static_cast<size_t>(s)];
-    sim->shard(s)->set_trace_sink([buf](SimTime time, EventId id) {
-      buf->push_back(Entry{time, static_cast<uint64_t>(id)});
-    });
-  }
-}
-
-void ShardedEventTraceRecorder::Detach(ShardedSimulator* sim) {
-  for (int s = 0; s < sim->num_shards(); ++s) {
-    sim->shard(s)->set_trace_sink(nullptr);
-  }
-}
-
-void ShardedEventTraceRecorder::Finalize() {
-  // Canonical merge order: (time, shard, seq). Per-shard buffers are
-  // already (time, seq)-ordered, so a k-way index merge suffices; the
-  // result depends only on the buffers, never on thread scheduling.
-  std::vector<size_t> pos(per_shard_.size(), 0);
-  for (;;) {
-    int best = -1;
-    for (size_t s = 0; s < per_shard_.size(); ++s) {
-      if (pos[s] >= per_shard_[s].size()) continue;
-      if (best < 0 ||
-          per_shard_[s][pos[s]].time <
-              per_shard_[static_cast<size_t>(best)]
-                        [pos[static_cast<size_t>(best)]].time) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const Entry& e = per_shard_[static_cast<size_t>(best)]
-                               [pos[static_cast<size_t>(best)]++];
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(e.time));
-    std::memcpy(&bits, &e.time, sizeof(bits));
-    char line[64];
-    const int n = std::snprintf(line, sizeof(line), "%016llx:%d:%llu\n",
-                                static_cast<unsigned long long>(bits), best,
-                                static_cast<unsigned long long>(e.seq));
-    for (int i = 0; i < n; ++i) {
-      hash_ ^= static_cast<unsigned char>(line[i]);
-      hash_ *= 1099511628211ULL;  // FNV-1a prime
-    }
-    ++events_;
-    if (keep_full_) trace_.append(line, static_cast<size_t>(n));
-  }
-  per_shard_.clear();
 }
 
 size_t FirstTraceDivergence(const std::string& a, const std::string& b) {

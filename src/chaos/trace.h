@@ -9,9 +9,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 
 namespace gqp {
@@ -49,53 +47,6 @@ class EventTraceRecorder {
   uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
   uint64_t events_ = 0;
   std::string trace_;
-};
-
-/// \brief Trace recording for sharded runs (DESIGN.md §D15).
-///
-/// Each shard's dispatch stream is buffered shard-locally (its worker
-/// thread is the only writer, so recording takes no locks), then
-/// Finalize() merges the buffers into one canonical stream ordered by
-/// (time, shard, seq) and folds it through the same FNV-1a hash as the
-/// sequential recorder. The merge order is a deterministic function of
-/// the buffers alone — two sharded runs with equal per-shard streams get
-/// byte-identical merged traces regardless of thread scheduling. Lines
-/// are "<time-hex>:<shard>:<seq>\n" (the shard id disambiguates the
-/// independent per-shard sequence counters), so sharded fingerprints are
-/// comparable to other sharded runs, not to sequential ones.
-class ShardedEventTraceRecorder {
- public:
-  explicit ShardedEventTraceRecorder(bool keep_full = false)
-      : keep_full_(keep_full) {}
-
-  /// Installs a per-shard sink on every shard. The recorder must outlive
-  /// the simulation or be detached.
-  void Attach(ShardedSimulator* sim);
-
-  /// Removes all per-shard sinks. Safe to call when not attached.
-  static void Detach(ShardedSimulator* sim);
-
-  /// Merges the shard-local buffers into hash()/trace(). Call after the
-  /// run completes (driver thread). Idempotent only in the sense that it
-  /// consumes the buffers; call it once.
-  void Finalize();
-
-  uint64_t hash() const { return hash_; }
-  uint64_t events() const { return events_; }
-  /// Empty unless constructed with keep_full = true.
-  const std::string& trace() const { return trace_; }
-
- private:
-  struct Entry {
-    SimTime time;
-    uint64_t seq;
-  };
-
-  bool keep_full_;
-  uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
-  uint64_t events_ = 0;
-  std::string trace_;
-  std::vector<std::vector<Entry>> per_shard_;
 };
 
 /// First line number (1-based) at which two serialized traces differ;

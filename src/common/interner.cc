@@ -8,9 +8,9 @@ namespace gqp {
 
 std::string_view InternString(std::string_view s) {
   // Leaky singleton: interned tags must outlive every node work item,
-  // including ones that outlive their submitting executor. Mutexed
-  // unconditionally: operator construction (deploy events) can run on
-  // shard worker threads, and interning is far off the hot path.
+  // including ones that outlive their submitting executor. The table is
+  // process-wide and interning is far off the hot path, so a lock costs
+  // nothing measurable and keeps it safe for any caller.
   static std::mutex* mu = new std::mutex();
   static auto* interned = new std::unordered_set<std::string, StringHash,
                                                  std::equal_to<>>();

@@ -759,12 +759,7 @@ bool Gdqs::QueryComplete(int query_id) const {
 }
 
 FragmentExecutor* Gdqs::FindInstance(const SubplanId& id) const {
-  // Every call site passes a root instance, and roots are always placed on
-  // the coordinator host; in a sharded run the other nodes' executor maps
-  // belong to other shards and must not be read from here.
-  const bool sharded = bus()->network()->sharded();
   for (Gqes* g : gqes_) {
-    if (sharded && g->host() != host()) continue;
     if (FragmentExecutor* executor = g->FindExecutor(id)) return executor;
   }
   return nullptr;
@@ -1023,16 +1018,6 @@ void Gdqs::ReleaseQuery(int query_id) {
 }
 
 void Gdqs::ReleaseOnAllNodes(int query_id) {
-  if (bus()->network()->sharded()) {
-    // Remote evaluator state belongs to other shards; reach it the way a
-    // real coordinator would, by message. The direct call below is a
-    // sequential-mode shortcut only.
-    for (Gqes* g : gqes_) {
-      (void)SendTo(g->address(), std::make_shared<ReleaseQueryPayload>(
-                                     query_id, coordinator_epoch_));
-    }
-    return;
-  }
   for (Gqes* g : gqes_) g->ReleaseQuery(query_id);
 }
 

@@ -319,9 +319,7 @@ class Gdqs : public GridService {
   void MarkInactive(QueryState* state);
   QueryResult BuildResult(const QueryState& state) const;
   FragmentExecutor* FindInstance(const SubplanId& id) const;
-  /// Releases a query's executors on every node: direct calls
-  /// sequentially, fenced ReleaseQuery messages in sharded runs (remote
-  /// evaluator state lives on other shards).
+  /// Releases a query's executors on every node.
   void ReleaseOnAllNodes(int query_id);
   /// Appends to the mirror log and ships the entry to the standby.
   /// No-op unless mirroring is enabled.

@@ -57,12 +57,16 @@ Status OperatorDriver::RunTuple(int port, const Tuple& tuple, int bucket) {
 Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
                                     size_t n) {
   ctx_.ResetForBatch(n);
+  num_steps_ = 0;
+  BeginStep(n, nullptr);
   ctx_.ChargeN(scan_tag_, scan_cost_ms_, n);
+  EndStep();
   if (ops_.empty()) {
     for (size_t i = 0; i < n; ++i) {
       ctx_.out.push_back(table.row(start + i));
       ctx_.out_origin.push_back(static_cast<uint32_t>(i));
     }
+    ExpandBatchCharges();
     return Status::OK();
   }
   scan_batch_.Clear();
@@ -75,6 +79,7 @@ Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
 
 Status OperatorDriver::RunBatch(int port, TupleBatch* in) {
   ctx_.ResetForBatch(in->size());
+  num_steps_ = 0;
   return RunChainBatch(port, in);
 }
 
@@ -83,7 +88,12 @@ Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
   TupleBatch* next = &scratch_a_;
   for (auto& op : ops_) {
     next->Clear();
-    GQP_RETURN_IF_ERROR(op->ProcessBatch(port, cur, next, &ctx_));
+    // The chain's first step takes the input rows (or the scan rows) one
+    // to one; later steps take the previous operator's derived rows.
+    BeginStep(cur->size(), cur == in ? nullptr : &cur->parents());
+    const Status s = op->ProcessBatch(port, cur, next, &ctx_);
+    EndStep();
+    GQP_RETURN_IF_ERROR(s);
     // Ping-pong: the consumed batch becomes the next stage's output
     // scratch (the caller's `in` is scratch to it as well).
     TupleBatch* spent = cur == in ? &scratch_b_ : cur;
@@ -98,7 +108,47 @@ Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
     ctx_.out.push_back(cur->TakeTuple(i));
     ctx_.out_origin.push_back(cur->origin(i));
   }
+  ExpandBatchCharges();
   return Status::OK();
+}
+
+void OperatorDriver::BeginStep(size_t rows,
+                               const std::vector<uint32_t>* parents) {
+  // Step storage persists across batches, so assigning reuses capacity.
+  if (num_steps_ == steps_.size()) steps_.emplace_back();
+  BatchStep& step = steps_[num_steps_++];
+  step.rows = rows;
+  if (parents != nullptr) {
+    step.parents.assign(parents->begin(), parents->end());
+  } else {
+    step.parents.clear();
+  }
+  step.charges_begin = ctx_.row_charges.size();
+  step.charges_end = step.charges_begin;
+}
+
+void OperatorDriver::ExpandBatchCharges() {
+  ctx_.charges.clear();
+  if (num_steps_ == 0) return;
+  step_cursor_.assign(num_steps_, 0);
+  for (size_t row = 0; row < steps_[0].rows; ++row) ChargeRow(0, row);
+}
+
+void OperatorDriver::ChargeRow(size_t step, size_t row) {
+  const BatchStep& s = steps_[step];
+  for (size_t c = s.charges_begin; c < s.charges_end; ++c) {
+    ctx_.charges.push_back(ctx_.row_charges[c]);
+  }
+  if (step + 1 == num_steps_) return;
+  // Operators emit in input-row order, so the rows derived from `row` are
+  // the next contiguous run of the following step.
+  const BatchStep& child_step = steps_[step + 1];
+  size_t& child = step_cursor_[step + 1];
+  while (child < child_step.rows &&
+         (child_step.parents.empty() ? child
+                                     : child_step.parents[child]) == row) {
+    ChargeRow(step + 1, child++);
+  }
 }
 
 void OperatorDriver::FinishPorts(size_t num_ports) {

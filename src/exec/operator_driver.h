@@ -48,11 +48,16 @@ class OperatorDriver {
 
   // --- vectorized mode (DESIGN.md §D13) ---------------------------------
   /// Runs `n` scan rows starting at `start` through the chain as one
-  /// batch, charging the scan cost once (n × unit).
+  /// batch, charging the scan cost per row first.
   Status RunScanBatch(const Table& table, size_t start, size_t n);
   /// Runs a popped batch of exchange tuples through the chain. `in` is
   /// consumed; per-row retention lands in ctx()->row_retained, outputs in
   /// ctx()->out with their input-row origin in ctx()->out_origin.
+  ///
+  /// Both batch runs leave in ctx()->charges exactly the parts the scalar
+  /// path would have charged for the same rows, in the same order (each
+  /// input row, then depth first through every row derived from it), so a
+  /// batch of one costs bit-for-bit what one scalar tuple does.
   Status RunBatch(int port, TupleBatch* in);
 
   /// FinishPort on every operator for every port; errors go to `fail`.
@@ -111,6 +116,24 @@ class OperatorDriver {
   /// operator move into ctx_.out / ctx_.out_origin.
   Status RunChainBatch(int port, TupleBatch* in);
 
+  /// One charging step of a batch run (the scan, then each operator): its
+  /// input row count, each input row's parent among the previous step's
+  /// input rows (empty: row i of the previous step, or no previous step),
+  /// and its per-row charges in ctx_.row_charges.
+  struct BatchStep {
+    size_t rows = 0;
+    std::vector<uint32_t> parents;
+    size_t charges_begin = 0;
+    size_t charges_end = 0;
+  };
+  void BeginStep(size_t rows, const std::vector<uint32_t>* parents);
+  void EndStep() {
+    steps_[num_steps_ - 1].charges_end = ctx_.row_charges.size();
+  }
+  /// Fills ctx_.charges from the recorded steps in scalar order.
+  void ExpandBatchCharges();
+  void ChargeRow(size_t step, size_t row);
+
   std::vector<std::unique_ptr<PhysicalOperator>> ops_;
   ExecContext ctx_;
   /// Ping-pong scratch batches for RunChainBatch (capacity reused).
@@ -118,6 +141,12 @@ class OperatorDriver {
   TupleBatch scratch_b_;
   /// Scan-batch staging (capacity reused).
   TupleBatch scan_batch_;
+  /// Steps of the current batch run: the first num_steps_ entries (the
+  /// rest is storage kept from earlier batches).
+  std::vector<BatchStep> steps_;
+  size_t num_steps_ = 0;
+  /// Per step, the next row ChargeRow visits.
+  std::vector<size_t> step_cursor_;
   /// Interned scan tag + base cost (scan leaves only).
   std::string_view scan_tag_;
   double scan_cost_ms_ = 0.0;

@@ -27,32 +27,6 @@ Status PhysicalOperator::Emit(const Tuple& tuple, ExecContext* ctx) {
   return Status::OK();
 }
 
-// Generic batch step for operators without a hand-written override: runs
-// the scalar Process per row with chaining suppressed and re-maps the
-// per-tuple outputs/retention into batch form. Charges land per row, so
-// the ledger counts match a scalar run exactly.
-Status PhysicalOperator::ProcessBatch(int port, TupleBatch* in,
-                                      TupleBatch* out, ExecContext* ctx) {
-  PhysicalOperator* saved_next = next_;
-  next_ = nullptr;
-  Status status = Status::OK();
-  const size_t stage_base = ctx->out.size();
-  for (size_t i = 0; i < in->size() && status.ok(); ++i) {
-    ctx->retained = false;
-    status = Process(port, in->tuple(i), in->bucket(i), ctx);
-    if (ctx->retained && in->origin(i) < ctx->row_retained.size()) {
-      ctx->row_retained[in->origin(i)] = 1;
-    }
-    for (size_t j = stage_base; j < ctx->out.size(); ++j) {
-      out->Append(std::move(ctx->out[j]), -1, in->origin(i));
-    }
-    ctx->out.resize(stage_base);
-  }
-  ctx->retained = false;
-  next_ = saved_next;
-  return status;
-}
-
 // ---- Filter ------------------------------------------------------------
 
 FilterOperator::FilterOperator(const PhysOpDesc& desc)
@@ -80,7 +54,7 @@ Status FilterOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
     mask[i] = ValueIsTrue(v) ? 1 : 0;
   }
   for (size_t i = 0; i < n; ++i) {
-    if (mask[i] != 0) out->Append(in->TakeTuple(i), -1, in->origin(i));
+    if (mask[i] != 0) out->AppendDerived(in->TakeTuple(i), *in, i);
   }
   return Status::OK();
 }
@@ -117,7 +91,7 @@ Status ProjectOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
       GQP_ASSIGN_OR_RETURN(Value v, e->Eval(in->tuple(i), ctx->functions));
       values.push_back(std::move(v));
     }
-    out->Append(Tuple(out_schema_, std::move(values)), -1, in->origin(i));
+    out->AppendDerived(Tuple(out_schema_, std::move(values)), *in, i);
   }
   return Status::OK();
 }
@@ -167,7 +141,7 @@ Status OperationCallOperator::ProcessBatch(int, TupleBatch* in,
     GQP_ASSIGN_OR_RETURN(Value result, fn(args));
     std::vector<Value> values(tuple.data(), tuple.data() + tuple.size());
     values.push_back(std::move(result));
-    out->Append(Tuple(out_schema_, std::move(values)), -1, in->origin(i));
+    out->AppendDerived(Tuple(out_schema_, std::move(values)), *in, i);
   }
   return Status::OK();
 }
@@ -347,12 +321,11 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
           static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
       const Tuple& tuple = in->tuple(i);
       const Value& key = tuple.at(probe_key_);
-      const uint32_t origin = in->origin(i);
       state_[bucket].ForEachMatchFrom(head, [&](const Tuple& build_tuple) {
         // Hash collision: the stored key is the build tuple's key column.
         if (build_tuple.at(build_key_) != key) return;
-        out->Append(Tuple::Concat(out_schema_, build_tuple, tuple), -1,
-                    origin);
+        out->AppendDerived(Tuple::Concat(out_schema_, build_tuple, tuple),
+                           *in, i);
       });
     }
     return Status::OK();

@@ -79,6 +79,11 @@ struct ExecContext {
   /// allocation-free on the hot path, and the views stay valid for the
   /// lifetime of any node work item they are copied into.
   std::vector<std::pair<std::string_view, double>> charges;
+  /// Batch mode: the per-row (tag, unit cost) of each ChargeN call, in
+  /// chain order. The driver expands them into `charges` one part per row
+  /// in the order the scalar path would have charged them, so a batch
+  /// work item sums exactly the parts its rows cost one at a time.
+  std::vector<std::pair<std::string_view, double>> row_charges;
   /// Set by stateful operators when the input tuple was absorbed into
   /// operator state (it must not be acknowledged upstream yet). Scalar
   /// mode only; batch mode records per-row retention in `row_retained`.
@@ -105,15 +110,16 @@ struct ExecContext {
     charges.emplace_back(tag, ms);
     ledger.Add(tag, ms, 1);
   }
-  /// Batch-mode charge: one composite part worth n scalar charges. No-op
-  /// for an empty batch (scalar mode charges nothing for zero tuples).
+  /// Batch-mode charge: each of n rows costs unit_ms. No-op for an empty
+  /// batch (scalar mode charges nothing for zero tuples).
   void ChargeN(std::string_view tag, double unit_ms, uint64_t n) {
     if (n == 0) return;
-    charges.emplace_back(tag, unit_ms * static_cast<double>(n));
+    row_charges.emplace_back(tag, unit_ms);
     ledger.Add(tag, unit_ms, n);
   }
   void ResetForTuple() {
     charges.clear();
+    row_charges.clear();
     retained = false;
     out.clear();
     out_origin.clear();
@@ -147,14 +153,14 @@ class PhysicalOperator {
   /// moved-from) and appends this operator's outputs to `out`. Unlike
   /// Process, a batch step never chains into next_ — the driver walks the
   /// chain, handing each operator's output batch to the next (run to
-  /// completion over the batch). Emitted rows carry bucket -1 (exactly
-  /// what scalar Emit forwards) and inherit the origin of the input row
-  /// they derive from; rows absorbed into operator state mark
-  /// ctx->row_retained[origin] instead of ctx->retained. The default
-  /// implementation runs the scalar Process per row with chaining
-  /// suppressed; every built-in operator overrides it with a tight loop.
+  /// completion over the batch). Outputs are appended with
+  /// TupleBatch::AppendDerived in input-row order; rows absorbed into
+  /// operator state mark ctx->row_retained[origin] instead of
+  /// ctx->retained. A step charges every input row once, through a single
+  /// ctx->ChargeN(tag, unit, in->size()) — the unit Process charges per
+  /// tuple.
   virtual Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
-                              ExecContext* ctx);
+                              ExecContext* ctx) = 0;
 
   /// All producers of `port` reached end-of-stream and the queue drained.
   virtual Status FinishPort(int port, ExecContext* ctx);

@@ -31,16 +31,25 @@ void GridNode::ClearPerturbations() {
   node_perturbation_.reset();
 }
 
-double GridNode::EffectiveCost(std::string_view tag, double base_cost_ms) {
-  double cost = base_cost_ms / capacity_;
+PerturbationProfile* GridNode::TagPerturbation(std::string_view tag) const {
   auto it = tag_perturbations_.find(tag);
-  if (it != tag_perturbations_.end() && it->second != nullptr) {
-    cost = it->second->Apply(cost, sim_->Now());
+  return it == tag_perturbations_.end() ? nullptr : it->second.get();
+}
+
+double GridNode::ApplyCost(PerturbationProfile* tag_perturbation,
+                           double base_cost_ms) {
+  double cost = base_cost_ms / capacity_;
+  if (tag_perturbation != nullptr) {
+    cost = tag_perturbation->Apply(cost, sim_->Now());
   }
   if (node_perturbation_ != nullptr) {
     cost = node_perturbation_->Apply(cost, sim_->Now());
   }
   return cost;
+}
+
+double GridNode::EffectiveCost(std::string_view tag, double base_cost_ms) {
+  return ApplyCost(TagPerturbation(tag), base_cost_ms);
 }
 
 void GridNode::SubmitWork(std::string_view tag, double base_cost_ms,
@@ -73,14 +82,28 @@ void GridNode::StartNext() {
   WorkItem item = std::move(queue_.front());
   queue_.pop_front();
 
+  tag_slots_.clear();
   double duration = 0.0;
   for (const auto& [tag, base_cost] : item.parts) {
-    const double part = EffectiveCost(tag, base_cost);
-    auto it = stats_.busy_ms_by_tag.find(tag);
-    if (it == stats_.busy_ms_by_tag.end()) {
-      it = stats_.busy_ms_by_tag.emplace(std::string(tag), 0.0).first;
+    // Same view, same tag (a different view of an equal tag only costs a
+    // second lookup that resolves to the same counters).
+    TagSlot* slot = nullptr;
+    for (TagSlot& s : tag_slots_) {
+      if (s.tag.data() == tag.data() && s.tag.size() == tag.size()) {
+        slot = &s;
+        break;
+      }
     }
-    it->second += part;
+    if (slot == nullptr) {
+      auto it = stats_.busy_ms_by_tag.find(tag);
+      if (it == stats_.busy_ms_by_tag.end()) {
+        it = stats_.busy_ms_by_tag.emplace(std::string(tag), 0.0).first;
+      }
+      slot = &tag_slots_.emplace_back(
+          TagSlot{tag, TagPerturbation(tag), &it->second});
+    }
+    const double part = ApplyCost(slot->perturbation, base_cost);
+    *slot->busy_ms += part;
     duration += part;
   }
   ++stats_.work_items;

@@ -108,6 +108,19 @@ class GridNode {
   };
 
   void StartNext();
+  /// The profile installed for `tag`, or null.
+  PerturbationProfile* TagPerturbation(std::string_view tag) const;
+  /// Capacity scaling, then the tag profile, then the node-wide profile.
+  double ApplyCost(PerturbationProfile* tag_perturbation, double base_cost_ms);
+
+  /// A tag StartNext has resolved for the current item. A batch item
+  /// carries one part per row per operator, so its parts cycle through a
+  /// few tags; each distinct one is looked up once per item.
+  struct TagSlot {
+    std::string_view tag;
+    PerturbationProfile* perturbation;
+    double* busy_ms;
+  };
 
   Simulator* sim_;
   HostId id_;
@@ -121,6 +134,8 @@ class GridNode {
       tag_perturbations_;
   PerturbationPtr node_perturbation_;
   NodeStats stats_;
+  /// StartNext scratch (capacity reused across items).
+  std::vector<TagSlot> tag_slots_;
 };
 
 }  // namespace gqp

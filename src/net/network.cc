@@ -14,13 +14,6 @@ uint64_t LinkKey(HostId src, HostId dst) {
 
 }  // namespace
 
-void Network::EnableSharding(ShardedSimulator* sharded) {
-  sharded_ = sharded;
-  lanes_.assign(static_cast<size_t>(sharded->num_shards()), {});
-  stats_lanes_.assign(static_cast<size_t>(sharded->num_shards()),
-                      NetworkStats{});
-}
-
 void Network::RegisterHost(HostId host, DeliveryHandler handler) {
   hosts_[host] = std::move(handler);
 }
@@ -32,20 +25,6 @@ void Network::SetLink(HostId src, HostId dst, LinkParams params) {
 void Network::SetAllLinks(LinkParams params) {
   default_link_ = params;
   for (auto& [key, p] : link_params_) p = params;
-}
-
-double Network::MinConfiguredLatencyMs() const {
-  double min_latency = default_link_.latency_ms;
-  for (const auto& [key, p] : link_params_) {
-    min_latency = std::min(min_latency, p.latency_ms);
-  }
-  return min_latency;
-}
-
-Network::LinkFifo& Network::GetFifo(HostId src, HostId dst) {
-  // Lane = src's shard: only sends from src touch this link, and those
-  // execute on src's shard, so lazy insertion here never races.
-  return lanes_[static_cast<size_t>(ShardOf(src))][LinkKey(src, dst)];
 }
 
 const LinkParams& Network::GetLinkParams(HostId src, HostId dst) const {
@@ -62,23 +41,6 @@ void Network::SetLinkLoss(HostId src, HostId dst, double drop_probability) {
 double Network::LossRate(HostId src, HostId dst) const {
   auto it = link_loss_.find(LinkKey(src, dst));
   return it == link_loss_.end() ? default_loss_ : it->second;
-}
-
-bool Network::CounterHashDrop(uint64_t link_key, uint64_t send_index,
-                              double loss) const {
-  // splitmix64 finalizer over (seed, link, index): a per-link drop stream
-  // that is identical for every shard count and thread interleaving —
-  // unlike the sequential mode's single RNG, whose draw order IS the
-  // global send order and therefore cannot exist under parallel sends.
-  uint64_t x = loss_seed_ ^ (link_key * 0x9E3779B97F4A7C15ULL) ^
-               (send_index * 0xBF58476D1CE4E5B9ULL);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  const double draw = static_cast<double>(x >> 11) * 0x1.0p-53;
-  return draw < loss;
 }
 
 void Network::BeginPartition(HostId host) { ++partitioned_[host]; }
@@ -103,31 +65,26 @@ Status Network::Send(Message msg) {
         StrCat("destination host ", msg.to.host, " not registered"));
   }
   DeliveryHandler* handler = &host_it->second;
-  // Sends execute on the source host's shard; its clock is the send time.
-  Simulator* src_sim = SimulatorFor(msg.from.host);
-  NetworkStats& stats = stats_lanes_[static_cast<size_t>(ShardOf(msg.from.host))];
 
   if (msg.from.host == msg.to.host) {
-    ++stats.local_deliveries;
-    src_sim->Schedule(0.0, [handler, m = std::move(msg)]() { (*handler)(m); });
+    ++stats_.local_deliveries;
+    sim_->Schedule(0.0, [handler, m = std::move(msg)]() { (*handler)(m); });
     return Status::OK();
   }
 
   const size_t bytes =
       (msg.payload ? msg.payload->WireSize() : 0) + envelope_bytes_;
-  const uint64_t key = LinkKey(msg.from.host, msg.to.host);
-  LinkFifo& link = GetFifo(msg.from.host, msg.to.host);
+  LinkFifo& link = fifos_[LinkKey(msg.from.host, msg.to.host)];
   const LinkParams& params = GetLinkParams(msg.from.host, msg.to.host);
-  const SimTime start = std::max(src_sim->Now(), link.busy_until);
+  const SimTime start = std::max(sim_->Now(), link.busy_until);
   const double tx = static_cast<double>(bytes) / params.bandwidth_bytes_per_ms;
   link.busy_until = start + tx;
   const SimTime arrival =
       std::max(start + tx + params.latency_ms, link.last_arrival);
   link.last_arrival = arrival;
-  ++link.sends;
 
-  ++stats.messages_sent;
-  stats.bytes_sent += bytes;
+  ++stats_.messages_sent;
+  stats_.bytes_sent += bytes;
 
   // Lossy delivery: the transfer occupied the link either way (the bytes
   // went out and vanished in the fabric), so the busy/FIFO bookkeeping
@@ -135,26 +92,12 @@ Status Network::Send(Message msg) {
   // precede the loss draw so partition windows never perturb the RNG
   // stream of unrelated messages.
   if (Partitioned(msg.from.host) || Partitioned(msg.to.host)) {
-    ++stats.partition_drops;
+    ++stats_.partition_drops;
     return Status::OK();
   }
   const double loss = LossRate(msg.from.host, msg.to.host);
-  if (loss > 0.0) {
-    const bool drop = shard_rng_streams()
-                          ? CounterHashDrop(key, link.sends, loss)
-                          : loss_rng_.NextDouble() < loss;
-    if (drop) {
-      ++stats.loss_drops;
-      return Status::OK();
-    }
-  }
-
-  if (sharded_ != nullptr) {
-    // Arrival >= now + latency >= now + lookahead: the conservative
-    // contract holds by link-latency validation at setup.
-    sharded_->ScheduleCrossAt(
-        ShardOf(msg.to.host), arrival,
-        [handler, m = std::move(msg)]() { (*handler)(m); });
+  if (loss > 0.0 && loss_rng_.NextDouble() < loss) {
+    ++stats_.loss_drops;
     return Status::OK();
   }
   sim_->ScheduleAt(arrival, [handler, m = std::move(msg)]() { (*handler)(m); });
@@ -167,19 +110,6 @@ double Network::TransferTime(HostId src, HostId dst, size_t bytes) const {
   return static_cast<double>(bytes + envelope_bytes_) /
              p.bandwidth_bytes_per_ms +
          p.latency_ms;
-}
-
-const NetworkStats& Network::stats() const {
-  if (stats_lanes_.size() == 1) return stats_lanes_[0];
-  merged_stats_ = NetworkStats{};
-  for (const NetworkStats& lane : stats_lanes_) {
-    merged_stats_.messages_sent += lane.messages_sent;
-    merged_stats_.bytes_sent += lane.bytes_sent;
-    merged_stats_.local_deliveries += lane.local_deliveries;
-    merged_stats_.loss_drops += lane.loss_drops;
-    merged_stats_.partition_drops += lane.partition_drops;
-  }
-  return merged_stats_;
 }
 
 }  // namespace gqp

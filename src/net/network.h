@@ -7,15 +7,6 @@
 // DESIGN.md §1). Delivery within a host is free and immediate, matching the
 // paper's "communication cost between subplans in the same machine is
 // considered zero".
-//
-// Sharded mode (DESIGN.md §D15): with EnableSharding the fabric routes
-// deliveries to the destination host's shard. The partitioning works
-// because all mutable per-send state is naturally confined: a directed
-// link (src,dst) is only ever used by sends from src, which execute on
-// src's shard, so each shard owns the FIFO state of its hosts' outgoing
-// links (and a stats lane). Link parameters, host registrations, down
-// sets and partition windows are only written at setup or inside
-// stop-the-world global events, when all shard workers are quiescent.
 
 #ifndef GRIDQP_NET_NETWORK_H_
 #define GRIDQP_NET_NETWORK_H_
@@ -25,12 +16,10 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "net/message.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 
 namespace gqp {
@@ -65,37 +54,10 @@ class Network {
   using DeliveryHandler = std::function<void(const Message&)>;
 
   Network(Simulator* sim, LinkParams default_link)
-      : sim_(sim), default_link_(default_link) {
-    lanes_.resize(1);
-    stats_lanes_.resize(1);
-  }
+      : sim_(sim), default_link_(default_link) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// Switches the fabric to sharded routing: host h lives on shard
-  /// h % num_shards, sends execute on the source host's shard and
-  /// deliveries are scheduled on the destination host's shard (cross-shard
-  /// via the sharded simulator's channels). Call once, at setup, before
-  /// traffic starts. Every link latency must be >= the sharded simulator's
-  /// lookahead — the setup layer validates this.
-  void EnableSharding(ShardedSimulator* sharded);
-
-  bool sharded() const { return sharded_ != nullptr; }
-  ShardedSimulator* sharded_simulator() const { return sharded_; }
-
-  /// Shard owning `host` (0 when not sharded).
-  int ShardOf(HostId host) const {
-    return sharded_ == nullptr
-               ? 0
-               : static_cast<int>(host) % sharded_->num_shards();
-  }
-
-  /// The simulator that runs `host`'s events: the shard simulator of the
-  /// host's shard, or the single sequential simulator.
-  Simulator* SimulatorFor(HostId host) const {
-    return sharded_ == nullptr ? sim_ : sharded_->shard(ShardOf(host));
-  }
 
   /// Registers a host's delivery handler (one per host; the RPC layer
   /// dispatches to services). Re-registration replaces the handler.
@@ -110,22 +72,13 @@ class Network {
   /// scenarios shift the whole fabric mid-query this way).
   void SetAllLinks(LinkParams params);
 
-  /// Smallest latency any current link configuration would give a remote
-  /// send: min over the default and every per-link override. The sharded
-  /// lookahead is derived from this (plus any latencies a scenario will
-  /// set later).
-  double MinConfiguredLatencyMs() const;
-
   /// Envelope bytes added to every remote message (SOAP/HTTP analogue).
   void set_envelope_bytes(size_t bytes) { envelope_bytes_ = bytes; }
 
   /// Reseeds the loss model's RNG. Drop decisions are a pure function of
   /// the seed and the (deterministic) send sequence, so lossy runs replay
   /// byte-identically (DESIGN.md §6).
-  void SeedLoss(uint64_t seed) {
-    loss_rng_ = Rng(seed);
-    loss_seed_ = seed;
-  }
+  void SeedLoss(uint64_t seed) { loss_rng_ = Rng(seed); }
 
   /// Drop probability applied to every remote message without a per-link
   /// override. 0 (the default) disables the model entirely: no RNG draw
@@ -136,18 +89,6 @@ class Network {
 
   /// Per-directed-link drop probability override.
   void SetLinkLoss(HostId src, HostId dst, double drop_probability);
-
-  /// Switches the fabric (and the reliable transport, which consults this)
-  /// to the sharded mode's RNG streams even on the sequential kernel:
-  /// counter-hash per-link loss and per-host retransmit jitter instead of
-  /// the two classic global streams. The differential suite runs its
-  /// sequential reference this way so both kernels draw identical loss and
-  /// jitter patterns; golden-fingerprint runs never set it.
-  void ForceShardRngStreams() { shard_rng_streams_ = true; }
-  /// True when loss/jitter draws must use the shard-invariant streams.
-  bool shard_rng_streams() const {
-    return sharded_ != nullptr || shard_rng_streams_;
-  }
 
   /// Opens a partition window isolating `host`: every remote message to or
   /// from it is dropped (the transfer still occupies the link — the bytes
@@ -174,12 +115,11 @@ class Network {
   /// report M2 communication costs.
   double TransferTime(HostId src, HostId dst, size_t bytes) const;
 
-  /// Aggregated over all shard lanes (post-run or sequential use).
-  const NetworkStats& stats() const;
+  const NetworkStats& stats() const { return stats_; }
   Simulator* simulator() const { return sim_; }
 
  private:
-  /// Per-link dynamic send state. Confined to the source host's shard.
+  /// Per-link dynamic send state.
   struct LinkFifo {
     SimTime busy_until = 0.0;
     /// Arrival time of the last message sent on this link. Delivery is
@@ -188,40 +128,25 @@ class Network {
     /// round protocol relies on in-order links (a StateMoveRequest or
     /// RestoreComplete marker proves everything sent before it arrived).
     SimTime last_arrival = 0.0;
-    /// Per-link send counter, the loss-draw index in sharded mode.
-    uint64_t sends = 0;
   };
 
-  LinkFifo& GetFifo(HostId src, HostId dst);
   const LinkParams& GetLinkParams(HostId src, HostId dst) const;
   double LossRate(HostId src, HostId dst) const;
-  /// Sharded-mode drop decision: a pure hash of (seed, link, send index),
-  /// so it depends on neither shard count nor thread interleaving.
-  bool CounterHashDrop(uint64_t link_key, uint64_t send_index,
-                       double loss) const;
 
   Simulator* sim_;
-  ShardedSimulator* sharded_ = nullptr;
   LinkParams default_link_;
   size_t envelope_bytes_ = 256;
   std::unordered_map<HostId, DeliveryHandler> hosts_;
   std::unordered_set<HostId> down_;
-  /// Per-link parameter overrides. Written at setup / stop-the-world only.
+  /// Per-link parameter overrides.
   std::unordered_map<uint64_t, LinkParams> link_params_;
-  /// Dynamic link state, one lane per shard (a single lane sequentially):
-  /// lane i holds the outgoing links of hosts on shard i, so shard workers
-  /// never touch each other's lanes.
-  std::vector<std::unordered_map<uint64_t, LinkFifo>> lanes_;
+  std::unordered_map<uint64_t, LinkFifo> fifos_;
   double default_loss_ = 0.0;
-  bool shard_rng_streams_ = false;
   std::unordered_map<uint64_t, double> link_loss_;
   Rng loss_rng_{0x10551055ULL};
-  uint64_t loss_seed_ = 0x10551055ULL;
   /// Open partition windows per host (windows may overlap, hence a count).
   std::unordered_map<HostId, int> partitioned_;
-  /// Traffic counters, one lane per shard; stats() sums them.
-  std::vector<NetworkStats> stats_lanes_;
-  mutable NetworkStats merged_stats_;
+  NetworkStats stats_;
 };
 
 }  // namespace gqp

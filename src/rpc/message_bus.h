@@ -1,12 +1,5 @@
 // MessageBus: routes messages to service endpoints over the simulated
 // network. One bus per grid; services register their Address with it.
-//
-// Sharded mode: endpoint registrations are partitioned per host. A host's
-// endpoints are only registered/unregistered/dispatched by events running
-// on that host (deploys create executors on their own host), so each
-// shard touches only its hosts' maps. The per-host slots themselves are
-// created eagerly at setup (EnsureHost) so the slot vector never grows
-// while shard workers are live.
 
 #ifndef GRIDQP_RPC_MESSAGE_BUS_H_
 #define GRIDQP_RPC_MESSAGE_BUS_H_
@@ -38,11 +31,6 @@ class MessageBus {
 
   using Handler = std::function<void(const Message&)>;
 
-  /// Pre-creates the host's endpoint slot and registers its delivery
-  /// handler with the network. Implied by RegisterEndpoint; sharded setups
-  /// call it eagerly for every host so no slot is created mid-run.
-  void EnsureHost(HostId host) { EnsureHostRegistered(host); }
-
   /// Registers a service endpoint. Fails on duplicate address.
   Status RegisterEndpoint(const Address& addr, Handler handler);
 
@@ -70,18 +58,13 @@ class MessageBus {
 
   Network* network() const { return network_; }
   Simulator* simulator() const { return network_->simulator(); }
-  /// The simulator running `host`'s events (its shard's, or the single
-  /// sequential one). Services schedule their timers through this.
-  Simulator* SimulatorFor(HostId host) const {
-    return network_->SimulatorFor(host);
-  }
 
   /// Count of messages that arrived for unregistered endpoints, summed
   /// over all hosts.
   uint64_t dropped_messages() const;
 
  private:
-  /// Endpoint registry of one host. Touched only by that host's events.
+  /// Endpoint registry of one host.
   struct HostEndpoints {
     std::unordered_map<Address, Handler, AddressHash> endpoints;
     uint64_t dropped = 0;
@@ -93,8 +76,7 @@ class MessageBus {
   HostEndpoints* SlotFor(HostId host) const;
 
   Network* network_;
-  /// Indexed by HostId; slots created in EnsureHostRegistered (setup or
-  /// sequential-mode lazy registration only).
+  /// Indexed by HostId; slots created lazily in EnsureHostRegistered.
   std::vector<std::unique_ptr<HostEndpoints>> hosts_;
   std::unique_ptr<ReliableTransport> reliable_;
 };

@@ -40,12 +40,6 @@ int QueryOfService(std::string_view service) {
   return 0;
 }
 
-/// Decorrelates the per-host jitter streams from the global one (and from
-/// each other) without new configuration surface.
-uint64_t HostJitterSeed(uint64_t base, HostId host) {
-  return base ^ (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(host + 1));
-}
-
 }  // namespace
 
 int QueryOf(const Message& msg) {
@@ -62,39 +56,12 @@ ReliableTransport::ReliableTransport(Network* network,
       deliver_(std::move(deliver)),
       jitter_rng_(config.jitter_seed) {}
 
-void ReliableTransport::EnsureHosts(int num_hosts) {
-  if (num_hosts <= 0) return;
-  if (hosts_.size() < static_cast<size_t>(num_hosts)) {
-    hosts_.resize(static_cast<size_t>(num_hosts));
-  }
-  for (HostId h = 0; h < num_hosts; ++h) {
-    if (hosts_[static_cast<size_t>(h)] == nullptr) {
-      auto state = std::make_unique<HostState>();
-      state->jitter = Rng(HostJitterSeed(config_.jitter_seed, h));
-      hosts_[static_cast<size_t>(h)] = std::move(state);
-    }
-  }
-}
-
 ReliableTransport::HostState& ReliableTransport::ForHost(HostId host) {
-  // Lazy growth only happens sequentially; sharded setups pre-create every
-  // host via EnsureHosts before workers exist.
   if (host < 0) host = 0;
-  if (static_cast<size_t>(host) >= hosts_.size() ||
-      hosts_[static_cast<size_t>(host)] == nullptr) {
-    EnsureHosts(host + 1);
-  }
-  return *hosts_[static_cast<size_t>(host)];
-}
-
-double ReliableTransport::NextJitterDraw(HostId src) {
-  // Sequential runs keep the original single stream and its draw order
-  // (byte-identical schedules); sharded runs cannot have a global order,
-  // so each source host owns an independent seeded stream. Differential
-  // references force the per-host streams sequentially too, so both
-  // kernels draw identical jitter (Network::ForceShardRngStreams).
-  if (network_->shard_rng_streams()) return ForHost(src).jitter.NextDouble();
-  return jitter_rng_.NextDouble();
+  const size_t index = static_cast<size_t>(host);
+  if (index >= hosts_.size()) hosts_.resize(index + 1);
+  if (hosts_[index] == nullptr) hosts_[index] = std::make_unique<HostState>();
+  return *hosts_[index];
 }
 
 Status ReliableTransport::Send(Message msg) {
@@ -134,11 +101,9 @@ void ReliableTransport::ScheduleRetransmit(HostId src, HostId dst,
   Pending& p = ForHost(src).senders[dst].pending[seq];
   const double jitter =
       config_.jitter_frac > 0.0
-          ? p.rto_ms * config_.jitter_frac * NextJitterDraw(src)
+          ? p.rto_ms * config_.jitter_frac * jitter_rng_.NextDouble()
           : 0.0;
-  // The timer is a shard-local event on src's simulator, like every other
-  // piece of sender-side channel state.
-  p.timer = network_->SimulatorFor(src)->Schedule(
+  p.timer = network_->simulator()->Schedule(
       p.rto_ms + jitter, [this, src, dst, seq] { OnTimeout(src, dst, seq); });
 }
 
@@ -186,8 +151,6 @@ bool ReliableTransport::MaybeHandle(const Message& msg) {
 
 void ReliableTransport::OnEnvelope(const Message& msg,
                                    const ReliableEnvelopePayload& env) {
-  // Runs on the destination host's shard; all state touched here belongs
-  // to msg.to.host.
   HostState& host = ForHost(msg.to.host);
   // Always ack, duplicates included: the sender retransmitted because the
   // previous ack may itself have been lost.
@@ -228,8 +191,7 @@ void ReliableTransport::OnEnvelope(const Message& msg,
 
 void ReliableTransport::OnAck(const Message& msg,
                               const ReliableAckPayload& ack) {
-  // The ack flows dst -> src of the original send; it is delivered on the
-  // original sender's shard and only touches that host's sender state.
+  // The ack flows dst -> src of the original send.
   const HostId src = msg.to.host;
   HostState& host = ForHost(src);
   ++host.stats.acks_received;
@@ -238,7 +200,7 @@ void ReliableTransport::OnAck(const Message& msg,
   auto it = ch_it->second.pending.find(ack.seq());
   if (it == ch_it->second.pending.end()) return;
   ++QueryStats(src, it->second.query).acks_received;
-  network_->SimulatorFor(src)->Cancel(it->second.timer);
+  network_->simulator()->Cancel(it->second.timer);
   ch_it->second.pending.erase(it);
 }
 

@@ -114,16 +114,6 @@ class ReliableAckPayload : public Payload {
 /// Channels are directed host pairs; each carries its own seq space, its
 /// own retransmission state on the sender, and its own in-order release
 /// cursor on the receiver.
-///
-/// Sharded mode: all state is partitioned per host. Sender-side state of
-/// channel (src,dst) — seq allocation, pendings, retransmission timers —
-/// is only touched by events on src (Send, the timer, the returning ack
-/// delivered to src); receiver-side state only by envelope arrivals on
-/// dst. So each host's partition is confined to its shard. The jitter RNG
-/// splits per source host too (a single global draw order cannot exist
-/// under parallel sends); sequential runs keep the one global stream and
-/// its byte-identical schedules. EnsureHosts pre-creates the partitions
-/// so the vector never grows while shard workers are live.
 class ReliableTransport {
  public:
   using DeliverFn = std::function<void(const Message&)>;
@@ -134,10 +124,6 @@ class ReliableTransport {
 
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
-
-  /// Pre-creates per-host state for hosts [0, num_hosts). Sharded setups
-  /// must call this before traffic starts.
-  void EnsureHosts(int num_hosts);
 
   /// Wraps and sends a remote message, scheduling retransmissions until
   /// the receiving transport acknowledges it.
@@ -182,14 +168,11 @@ class ReliableTransport {
   struct HostState {
     std::map<HostId, SenderChannel> senders;
     std::map<HostId, ReceiverChannel> receivers;
-    /// Per-source-host jitter stream, used in sharded mode only.
-    Rng jitter{0};
     ReliableStats stats;
     std::map<int, ReliableStats> by_query;
   };
 
   HostState& ForHost(HostId host);
-  double NextJitterDraw(HostId src);
 
   /// The per-query slice of `host`'s stats (created on first use).
   ReliableStats& QueryStats(HostId host, int query) {
@@ -204,9 +187,8 @@ class ReliableTransport {
   Network* network_;
   ReliableConfig config_;
   DeliverFn deliver_;
-  /// The sequential mode's single global jitter stream.
   Rng jitter_rng_;
-  /// Indexed by HostId; grown only in EnsureHosts / sequential mode.
+  /// Indexed by HostId; grown lazily by ForHost.
   std::vector<std::unique_ptr<HostState>> hosts_;
   mutable ReliableStats merged_stats_;
   mutable std::map<int, ReliableStats> merged_by_query_;

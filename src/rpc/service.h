@@ -95,10 +95,7 @@ class GridService {
   HostId host() const { return address_.host; }
   const std::string& name() const { return address_.service; }
   MessageBus* bus() const { return bus_; }
-  /// This host's simulator: its shard's in a sharded run, the single
-  /// sequential one otherwise. Every timer a service schedules therefore
-  /// lands on its own shard.
-  Simulator* simulator() const { return bus_->SimulatorFor(host()); }
+  Simulator* simulator() const { return bus_->simulator(); }
 
   /// Sends a direct payload to another service.
   Status SendTo(const Address& to, PayloadPtr payload);

@@ -99,36 +99,6 @@ Status Simulator::Run(SimTime until) {
   return Status::OK();
 }
 
-SimTime Simulator::NextEventTime() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (SlotRef(top.slot).gen != top.gen) {
-      PopDiscard();
-      continue;
-    }
-    return top.time;
-  }
-  return kSimTimeInfinity;
-}
-
-Status Simulator::RunWindow(SimTime end) {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (SlotRef(top.slot).gen != top.gen) {
-      PopDiscard();
-      continue;
-    }
-    if (!(top.time < end)) return Status::OK();
-    if (events_executed_ >= max_events_) {
-      return Status::ResourceExhausted(
-          StrCat("simulator exceeded ", max_events_,
-                 " events; likely a runaway event loop (t=", now_, " ms)"));
-    }
-    FireTop();
-  }
-  return Status::OK();
-}
-
 SimTime Simulator::RunToCompletion() {
   Status s = Run();
   if (!s.ok()) {

@@ -106,29 +106,6 @@ class Simulator {
   /// Returns an error if the event budget is exhausted (runaway loop guard).
   Status Run(SimTime until = kSimTimeInfinity);
 
-  /// Timestamp of the earliest pending event, or kSimTimeInfinity if none.
-  /// Discards stale (cancelled) heap entries as a side effect; does not
-  /// execute anything or advance Now(). Used by the sharded kernel to
-  /// compute conservative synchronization windows.
-  SimTime NextEventTime();
-
-  /// Runs every pending event with timestamp strictly below `end` (new
-  /// events scheduled inside the window run too if they land below `end`).
-  /// Unlike Run(), does NOT advance Now() to `end` — the sharded kernel
-  /// advances clocks explicitly via AdvanceTo() at barriers. The runaway
-  /// guard is cumulative across windows: events_executed() >= max_events
-  /// fails, so a runaway inside one shard is caught no matter how the run
-  /// is windowed.
-  Status RunWindow(SimTime end);
-
-  /// Advances Now() to `t` without executing anything (no-op if t <= Now()).
-  /// Barrier helper for the sharded kernel: before a global (stop-the-world)
-  /// event at time G runs, every shard clock is moved to G so events it
-  /// schedules with zero delay land at G on any shard.
-  void AdvanceTo(SimTime t) {
-    if (t > now_ && t != kSimTimeInfinity) now_ = t;
-  }
-
   /// Convenience: runs the full simulation and returns the final time.
   /// CHECK-fails (aborts) on runaway; use Run() where errors must propagate.
   SimTime RunToCompletion();

@@ -13,12 +13,9 @@ namespace {
 // round trip through the global allocator is the single biggest cost of
 // materializing a row; recycling fixed-size blocks turns it into a
 // pointer pop/push. Safe without locks because the engine is
-// single-threaded by design (DESIGN.md D1); while a sharded run is live
-// (common/concurrency.h) the pool is bypassed entirely and blocks go
-// through the global allocator, which is thread-safe — blocks parked in
-// the pool before the run stay there untouched until sequential
-// execution resumes. The pool itself is intentionally leaked so rows
-// destroyed during static teardown never touch a dead vector.
+// single-threaded by design (DESIGN.md D1). The pool itself is
+// intentionally leaked so rows destroyed during static teardown never
+// touch a dead vector.
 constexpr uint32_t kPooledMaxValues = 16;
 constexpr size_t kPoolMaxBlocksPerClass = 8192;
 
@@ -32,7 +29,7 @@ std::vector<void*>* PoolForClass(uint32_t n) {
 
 Tuple::Rep* Tuple::NewRep(SchemaPtr schema, uint32_t n) {
   void* block = nullptr;
-  if (n <= kPooledMaxValues && !ShardedRunActive()) {
+  if (n <= kPooledMaxValues) {
     std::vector<void*>* pool = PoolForClass(n);
     if (!pool->empty()) {
       block = pool->back();
@@ -51,7 +48,7 @@ void Tuple::Destroy(Rep* rep) {
   const uint32_t n = rep->size;
   for (uint32_t i = n; i > 0; --i) values[i - 1].~Value();
   rep->~Rep();
-  if (n <= kPooledMaxValues && !ShardedRunActive()) {
+  if (n <= kPooledMaxValues) {
     std::vector<void*>* pool = PoolForClass(n);
     if (pool->size() < kPoolMaxBlocksPerClass) {
       pool->push_back(rep);
@@ -71,17 +68,6 @@ Tuple::Tuple(SchemaPtr schema, std::vector<Value> values)
 
 size_t Tuple::WireSize() const {
   if (rep_ == nullptr) return 8;  // bare row header
-  if (ShardedRunActive()) {
-    // Two shards may race to fill the memo; both compute the same value
-    // (the walk is over immutable data), so relaxed atomics suffice.
-    size_t memo = __atomic_load_n(&rep_->wire_size, __ATOMIC_RELAXED);
-    if (memo != 0) return memo;
-    size_t bytes = 8;  // row header
-    const Value* values = ValuesOf(rep_);
-    for (uint32_t i = 0; i < rep_->size; ++i) bytes += values[i].WireSize();
-    __atomic_store_n(&rep_->wire_size, bytes, __ATOMIC_RELAXED);
-    return bytes;
-  }
   if (rep_->wire_size == 0) {
     size_t bytes = 8;  // row header
     const Value* values = ValuesOf(rep_);

@@ -6,11 +6,9 @@
 // holds the refcount, the schema handle, a memoized wire size and the
 // value array inline — one malloc per row instead of the former
 // shared_ptr-control-block + vector pair, and a copy is a single
-// non-atomic increment in sequential mode (the engine is single-threaded
-// by design, DESIGN.md D1); during sharded runs the same field is bumped
-// atomically, because payloads cross shard boundaries inside messages
-// (common/concurrency.h). WireSize() walks the values once and caches the
-// result; values are immutable, so the memo can never go stale.
+// non-atomic increment (the engine is single-threaded by design, DESIGN.md
+// D1). WireSize() walks the values once and caches the result; values are
+// immutable, so the memo can never go stale.
 
 #ifndef GRIDQP_STORAGE_TUPLE_H_
 #define GRIDQP_STORAGE_TUPLE_H_
@@ -19,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/concurrency.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -32,11 +29,11 @@ class Tuple {
   Tuple(SchemaPtr schema, std::vector<Value> values);
 
   Tuple(const Tuple& other) : rep_(other.rep_) {
-    if (rep_ != nullptr) RefIncrement(&rep_->refs);
+    if (rep_ != nullptr) ++rep_->refs;
   }
   Tuple(Tuple&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
   Tuple& operator=(const Tuple& other) {
-    if (other.rep_ != nullptr) RefIncrement(&other.rep_->refs);
+    if (other.rep_ != nullptr) ++other.rep_->refs;
     Unref();
     rep_ = other.rep_;
     return *this;
@@ -106,7 +103,7 @@ class Tuple {
   explicit Tuple(Rep* rep) : rep_(rep) {}
 
   void Unref() {
-    if (rep_ != nullptr && RefDecrement(&rep_->refs) == 0) Destroy(rep_);
+    if (rep_ != nullptr && --rep_->refs == 0) Destroy(rep_);
     rep_ = nullptr;
   }
   static void Destroy(Rep* rep);

@@ -9,8 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "common/concurrency.h"
-
 namespace gqp {
 
 /// Column/value types known to the engine.
@@ -51,14 +49,14 @@ class Value {
       : type_(DataType::kString), s_(new StrRep{1, std::string(v)}) {}
 
   Value(const Value& other) : type_(other.type_), i_(other.i_) {
-    if (type_ == DataType::kString) RefIncrement(&s_->refs);
+    if (type_ == DataType::kString) ++s_->refs;
   }
   Value(Value&& other) noexcept : type_(other.type_), i_(other.i_) {
     other.type_ = DataType::kNull;
     other.i_ = 0;
   }
   Value& operator=(const Value& other) {
-    if (other.type_ == DataType::kString) RefIncrement(&other.s_->refs);
+    if (other.type_ == DataType::kString) ++other.s_->refs;
     ReleasePayload();
     type_ = other.type_;
     i_ = other.i_;
@@ -137,16 +135,14 @@ class Value {
   std::string ToString() const;
 
  private:
-  /// Immutable shared string payload. refs uses plain ops in sequential
-  /// mode (single-threaded engine, DESIGN.md D1) and atomic ops while a
-  /// sharded run is live (common/concurrency.h).
+  /// Immutable shared string payload.
   struct StrRep {
     uint32_t refs;
     std::string str;
   };
 
   void ReleasePayload() {
-    if (type_ == DataType::kString && RefDecrement(&s_->refs) == 0) delete s_;
+    if (type_ == DataType::kString && --s_->refs == 0) delete s_;
   }
 
   DataType type_;

@@ -7,18 +7,6 @@ namespace gqp {
 
 GridSetup::GridSetup(const GridOptions& options) : options_(options) {
   network_ = std::make_unique<Network>(&sim_, options_.link);
-  if (options_.shards > 1) {
-    const double lookahead = options_.lookahead_override_ms > 0.0
-                                 ? options_.lookahead_override_ms
-                                 : options_.link.latency_ms;
-    // An invalid lookahead leaves ssim_ null; Initialize reports it as a
-    // Status instead of aborting in the kernel's constructor.
-    if (lookahead > 0.0) {
-      ssim_ = std::make_unique<ShardedSimulator>(options_.shards, lookahead);
-      network_->EnableSharding(ssim_.get());
-    }
-  }
-  if (options_.shard_rng_streams) network_->ForceShardRngStreams();
   if (options_.loss_rate > 0.0) {
     network_->SeedLoss(options_.loss_seed);
     network_->SetDefaultLoss(options_.loss_rate);
@@ -36,47 +24,25 @@ Status GridSetup::Initialize() {
   if (options_.num_evaluators < 1) {
     return Status::InvalidArgument("need at least one evaluator");
   }
-  if (options_.shards > 1) {
-    if (ssim_ == nullptr) {
-      return Status::InvalidArgument(
-          "sharded execution needs a positive lookahead (zero-latency links "
-          "leave no conservative synchronization window)");
-    }
-    if (options_.standby_enabled) {
-      return Status::InvalidArgument(
-          "sharded execution is incompatible with the standby coordinator "
-          "(D14 failover mutates cross-host state outside the shard "
-          "protocol)");
-    }
-  }
 
   // Host ids: 0 coordinator, 1 data node, 2.. evaluators (then the
   // standby, when enabled, at 2 + num_evaluators).
-  nodes_.push_back(
-      std::make_unique<GridNode>(SimForHost(0), 0, "coordinator", 1.0));
-  nodes_.push_back(std::make_unique<GridNode>(SimForHost(1), 1, "data", 1.0));
+  nodes_.push_back(std::make_unique<GridNode>(&sim_, 0, "coordinator", 1.0));
+  nodes_.push_back(std::make_unique<GridNode>(&sim_, 1, "data", 1.0));
   for (int i = 0; i < options_.num_evaluators; ++i) {
     const double capacity =
         static_cast<size_t>(i) < options_.evaluator_capacities.size()
             ? options_.evaluator_capacities[static_cast<size_t>(i)]
             : 1.0;
     const HostId id = static_cast<HostId>(2 + i);
-    nodes_.push_back(std::make_unique<GridNode>(
-        SimForHost(id), id, StrCat("evaluator", i), capacity));
+    nodes_.push_back(std::make_unique<GridNode>(&sim_, id,
+                                                StrCat("evaluator", i),
+                                                capacity));
   }
   if (options_.standby_enabled) {
     nodes_.push_back(std::make_unique<GridNode>(
         &sim_, static_cast<HostId>(2 + options_.num_evaluators), "standby",
         1.0));
-  }
-
-  // Sharded runs must never grow the per-host vectors of the bus or the
-  // reliable transport while workers are live: pre-create every slot now.
-  if (ssim_ != nullptr) {
-    for (auto& node : nodes_) bus_->EnsureHost(node->id());
-    if (bus_->reliable() != nullptr) {
-      bus_->reliable()->EnsureHosts(static_cast<int>(nodes_.size()));
-    }
   }
 
   GQP_RETURN_IF_ERROR(

@@ -39,22 +39,6 @@ struct GridOptions {
   /// GDQS and takes over on its confirmed death. Off by default — when
   /// off, nothing failover-related exists in the grid.
   bool standby_enabled = false;
-  /// Event shards of the conservative parallel kernel (D15). 1 = the
-  /// classic sequential simulator, byte-identical to every release before
-  /// sharding existed. >1 partitions hosts over shards (host % shards),
-  /// each with its own event heap and worker thread, synchronized by
-  /// link-latency lookahead. Incompatible with standby_enabled.
-  int shards = 1;
-  /// Conservative lookahead in simulated ms; 0 derives it from
-  /// link.latency_ms. Callers that later reconfigure links to lower
-  /// latencies MUST pass the minimum latency the run will ever see.
-  double lookahead_override_ms = 0.0;
-  /// Use the sharded kernel's RNG streams (counter-hash per-link loss,
-  /// per-host retransmit jitter) even with shards=1, so a sequential
-  /// reference run draws the same loss/jitter pattern as sharded runs
-  /// (differential suite). Defaults off: golden traces depend on the two
-  /// classic global streams.
-  bool shard_rng_streams = false;
   /// GDQS admission control (D16). Off by default: the submission path is
   /// byte-identical to every release before admission existed. When
   /// enabled, the same config is installed on the standby's inner GDQS so
@@ -78,15 +62,6 @@ class GridSetup {
   Status Initialize();
 
   Simulator* simulator() { return &sim_; }
-  /// Null unless options.shards > 1.
-  ShardedSimulator* sharded_simulator() { return ssim_.get(); }
-  /// The simulator driving `host`'s events: its shard's in a sharded
-  /// grid, the sequential one otherwise.
-  Simulator* SimForHost(HostId host) {
-    return ssim_ != nullptr
-               ? ssim_->shard(static_cast<int>(host) % ssim_->num_shards())
-               : &sim_;
-  }
   Network* network() { return network_.get(); }
   MessageBus* bus() { return bus_.get(); }
   Catalog* catalog() { return &catalog_; }
@@ -143,7 +118,6 @@ class GridSetup {
  private:
   GridOptions options_;
   Simulator sim_;
-  std::unique_ptr<ShardedSimulator> ssim_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<MessageBus> bus_;
   Catalog catalog_;

@@ -5,6 +5,9 @@
 // sequence numbering, or scheduling behavior — however subtle — fails
 // loudly instead of silently shifting every downstream result.
 //
+// Every scalar row is also replayed on the vectorized engine at batch
+// size 1, which must reproduce it exactly (BatchOfOneTest).
+//
 // If a fingerprint changes *by design* (e.g. a new subsystem schedules
 // extra events), re-record the constants with:
 //   chaos_repro --seed=N [--lossy]
@@ -12,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,10 @@ constexpr GoldenFingerprint kGolden[] = {
     {58, ChaosProfile::kStandard, 7715, 0x0acd6c9ef770b7b8ULL},
     {87, ChaosProfile::kStandard, 14526, 0xb29764efbe1b9b07ULL},
     {96, ChaosProfile::kStandard, 15644, 0xe8cc4f7b0c541cadULL},
+    // Standard seed 6 fans join probes out (one probe row, several build
+    // matches), where the order of a batch's charges decides the last bit
+    // of its work item's duration; BatchOfOneTest replays it at batch 1.
+    {6, ChaosProfile::kStandard, 11101, 0xf55d17bc5f778583ULL},
     {201, ChaosProfile::kLossy, 6999, 0x063fe15c9eb0a93bULL},
     {213, ChaosProfile::kLossy, 3550, 0xbe5189377fd8e54fULL},
     {240, ChaosProfile::kLossy, 6830, 0x3ecfcabd4e2146bfULL},
@@ -49,24 +57,24 @@ constexpr GoldenFingerprint kGolden[] = {
     // traffic must replay bit-identically.
     {6, ChaosProfile::kSlowConsumer, 12664, 0x3dbc880d0e788913ULL},
     {3, ChaosProfile::kMemorySqueeze, 8960, 0xbb210f5865a4e957ULL},
-    // Vectorized execution (D13), recorded 2026-08 when batch-at-a-time
-    // operators landed: the same 12 seeds re-pinned at batch-boundary
-    // event granularity (one composite charge per batch legitimately
-    // changes simulated timing, so these differ from the scalar rows
-    // above by design). Re-record with:
+    // Vectorized execution (D13) at the chaos batch size of 16: the same
+    // 12 seeds pinned at batch-boundary event granularity (one work item
+    // per batch changes simulated timing, so these differ from the scalar
+    // rows above by design). A batch work item sums its rows' scalar
+    // charges in scalar order. Re-record with:
     //   chaos_repro --seed=N [profile flag] --vectorized
-    {1, ChaosProfile::kStandard, 2913, 0x88b4b7d44bda0d26ULL, true},
-    {13, ChaosProfile::kStandard, 4758, 0x2d2d136c7dd27bb9ULL, true},
-    {29, ChaosProfile::kStandard, 3054, 0xe43d9be2248c6bdfULL, true},
-    {47, ChaosProfile::kStandard, 2967, 0x965d1f056e5ecb9eULL, true},
-    {58, ChaosProfile::kStandard, 3656, 0x71b7fefc6b4a8597ULL, true},
-    {87, ChaosProfile::kStandard, 11102, 0x3dbc0f89745ee2aeULL, true},
-    {96, ChaosProfile::kStandard, 3746, 0x34a52a146493d176ULL, true},
-    {201, ChaosProfile::kLossy, 3933, 0xd3695289fbdd3ee4ULL, true},
-    {213, ChaosProfile::kLossy, 1973, 0x4ce1769ae8ee59abULL, true},
-    {240, ChaosProfile::kLossy, 3946, 0x8251978a7dfdce06ULL, true},
-    {6, ChaosProfile::kSlowConsumer, 3950, 0xdc830b1447364194ULL, true},
-    {3, ChaosProfile::kMemorySqueeze, 5296, 0x1142bc093144a15fULL, true},
+    {1, ChaosProfile::kStandard, 2913, 0x9701c11ca61c74c1ULL, true},
+    {13, ChaosProfile::kStandard, 5752, 0x00e52f2fd3d49f90ULL, true},
+    {29, ChaosProfile::kStandard, 3054, 0xaf8a4877b3cba0a5ULL, true},
+    {47, ChaosProfile::kStandard, 2967, 0x8daffdc032586cf2ULL, true},
+    {58, ChaosProfile::kStandard, 3656, 0x87c2d884dc1cef17ULL, true},
+    {87, ChaosProfile::kStandard, 12517, 0xd35acebf4380e1ffULL, true},
+    {96, ChaosProfile::kStandard, 3746, 0x152e3dc219839b3eULL, true},
+    {201, ChaosProfile::kLossy, 3840, 0x571ddbb29c2e16edULL, true},
+    {213, ChaosProfile::kLossy, 1973, 0x3ccf21e267ed59a6ULL, true},
+    {240, ChaosProfile::kLossy, 3946, 0x4eecd7c3f99537cbULL, true},
+    {6, ChaosProfile::kSlowConsumer, 3950, 0x1735a5a58d606283ULL, true},
+    {3, ChaosProfile::kMemorySqueeze, 5296, 0x480600ca54d86997ULL, true},
 };
 
 std::string ProfilePrefix(ChaosProfile profile) {
@@ -83,6 +91,8 @@ std::string ProfilePrefix(ChaosProfile profile) {
       return "mq_seed";
     case ChaosProfile::kCoordinatorKill:
       return "coord_seed";
+    case ChaosProfile::kTenantStorm:
+      return "storm_seed";
   }
   return "seed";
 }
@@ -102,13 +112,43 @@ TEST_P(FingerprintTest, MatchesPrePoolKernel) {
       << ReproCommand(golden.seed, golden.profile, golden.vectorized);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    GoldenSeeds, FingerprintTest, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<GoldenFingerprint>& info) {
-      return (info.param.vectorized ? "vec_" : "") +
-             ProfilePrefix(info.param.profile) +
-             std::to_string(info.param.seed);
-    });
+std::string GoldenName(
+    const ::testing::TestParamInfo<GoldenFingerprint>& info) {
+  return (info.param.vectorized ? "vec_" : "") +
+         ProfilePrefix(info.param.profile) + std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(GoldenSeeds, FingerprintTest,
+                         ::testing::ValuesIn(kGolden), GoldenName);
+
+// A batch of one row must cost exactly what one scalar tuple does, so
+// every scalar row also pins the vectorized engine at batch size 1.
+class BatchOfOneTest : public ::testing::TestWithParam<GoldenFingerprint> {};
+
+TEST_P(BatchOfOneTest, MatchesScalarGolden) {
+  const GoldenFingerprint& golden = GetParam();
+  ChaosScenario scenario = GenerateScenario(golden.seed, golden.profile);
+  scenario.vectorized = true;
+  scenario.vector_batch_size = 1;
+  const ChaosRunResult result = RunScenario(scenario, ChaosRunOptions{});
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  const std::string where =
+      "vectorized at batch size 1 vs the scalar run of " +
+      ReproCommand(golden.seed, golden.profile, /*vectorized=*/false);
+  EXPECT_EQ(result.trace_events, golden.events) << where;
+  EXPECT_EQ(result.trace_hash, golden.hash) << where;
+}
+
+std::vector<GoldenFingerprint> ScalarGoldens() {
+  std::vector<GoldenFingerprint> rows;
+  for (const GoldenFingerprint& golden : kGolden) {
+    if (!golden.vectorized) rows.push_back(golden);
+  }
+  return rows;
+}
+
+INSTANTIATE_TEST_SUITE_P(ScalarSeeds, BatchOfOneTest,
+                         ::testing::ValuesIn(ScalarGoldens()), GoldenName);
 
 }  // namespace
 }  // namespace chaos

@@ -181,8 +181,11 @@ TEST(BatchEdgeTest, CompactKeepsSurvivorsInOrder) {
 // full state-move rounds (freeze -> redirect -> purge -> resend -> thaw)
 // while every fragment steps batch-at-a-time, and every invariant —
 // result multiset vs. the unperturbed oracle included — must still hold.
-// Seed 87 is the historical duplicate-build-insert scenario; its 8 rounds
-// include recovery resends racing in-flight batches.
+// Seed 87 is the historical duplicate-build-insert scenario; it applied 8
+// rounds until batches charged per row (a node-wide sleep then costs every
+// row, not every batch) and applies 7 since. Seed 66 was added to keep an
+// 8-round pin: an evaluator crash mid-run makes its rounds race recovery
+// resends against in-flight batches too.
 struct VecStateMovePin {
   uint64_t seed;
   uint64_t min_rounds_applied;
@@ -207,7 +210,8 @@ TEST_P(VecStateMoveTest, RoundsApplyUnderBatchExecution) {
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedSeeds, VecStateMoveTest,
-    ::testing::Values(VecStateMovePin{13, 5}, VecStateMovePin{87, 8}),
+    ::testing::Values(VecStateMovePin{13, 5}, VecStateMovePin{87, 7},
+                      VecStateMovePin{66, 8}),
     [](const ::testing::TestParamInfo<VecStateMovePin>& info) {
       return "seed" + std::to_string(info.param.seed);
     });

@@ -14,6 +14,7 @@
 // force ragged final batches, the configured default, and a batch wider
 // than the whole input. Seeds are fixed: a red run is reproducible.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -22,8 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/operator_driver.h"
 #include "exec/operators.h"
+#include "grid/node.h"
 #include "plan/cost_model.h"
+#include "sim/simulator.h"
 
 namespace gqp {
 namespace {
@@ -217,7 +221,7 @@ Chain MakeFilterProjectOpcallChain(uint64_t seed) {
   return ops;
 }
 
-Chain MakeJoinChain() {
+PhysOpDesc JoinDesc() {
   PhysOpDesc join;
   join.kind = PhysOpKind::kHashJoin;
   join.build_key = 0;
@@ -229,8 +233,12 @@ Chain MakeJoinChain() {
                                 {"sequence", DataType::kString},
                                 {"orf_p", DataType::kString},
                                 {"sequence_p", DataType::kString}});
+  return join;
+}
+
+Chain MakeJoinChain() {
   Chain ops;
-  ops.push_back(std::make_unique<HashJoinOperator>(join));
+  ops.push_back(std::make_unique<HashJoinOperator>(JoinDesc()));
   return ops;
 }
 
@@ -373,6 +381,78 @@ TEST(VectorScalarDiffTest, ChargeTotalsBitIdenticalAcrossBatchSizes) {
     EXPECT_EQ(vec.ledger.TotalMs(), canonical) << "batch=" << batch;
     EXPECT_EQ(vec.ledger.TotalCount(), scalar.ledger.TotalCount())
         << "batch=" << batch;
+  }
+}
+
+// The driver charges a batch exactly as the scalar path charges the same
+// rows one tuple at a time: each input row, then depth first through every
+// row derived from it. A join fan-out followed by two charging operators
+// is where any other order (say, operator by operator) would differ, and
+// with it the floating-point sum of a work item.
+TEST(VectorScalarDiffTest, BatchChargesFollowScalarOrder) {
+  PhysOpDesc filter;
+  filter.kind = PhysOpKind::kFilter;
+  filter.predicate = Cmp(CompareOp::kGe, Call("LENGTH", {Col(1, "sequence")}),
+                         Lit(Value(int64_t{4})));
+  filter.base_cost_ms = 0.3;
+  filter.cost_tag = "op:filter";
+  PhysOpDesc project;
+  project.kind = PhysOpKind::kProject;
+  project.exprs = {Col(0, "orf"), Col(3, "sequence_p")};
+  project.out_schema = MakeSchema(
+      {{"orf", DataType::kString}, {"sequence_p", DataType::kString}});
+  project.base_cost_ms = 0.07;
+  project.cost_tag = "op:project";
+
+  FragmentInstancePlan plan;
+  plan.fragment.num_input_ports = 2;
+  plan.fragment.ops = {JoinDesc(), filter, project};
+  Simulator sim;
+  GridNode node(&sim, 2, "evaluator0");
+  FragmentStats stats;
+  const std::vector<StreamRow> build =
+      MakeSeqStream(7, 60, /*port=*/0, /*num_buckets=*/0);
+  const std::vector<StreamRow> probe =
+      MakeSeqStream(8, 40, /*port=*/1, /*num_buckets=*/0);
+
+  using Charges = std::vector<std::pair<std::string_view, double>>;
+  OperatorDriver scalar(&node, &plan, &stats, {});
+  ASSERT_TRUE(scalar.BuildAndOpen().ok());
+  for (const StreamRow& row : build) {
+    ASSERT_TRUE(scalar.RunTuple(0, row.tuple, row.bucket).ok());
+  }
+  std::vector<Charges> per_probe;
+  size_t fan_out_rows = 0;
+  for (const StreamRow& row : probe) {
+    ASSERT_TRUE(scalar.RunTuple(1, row.tuple, row.bucket).ok());
+    per_probe.push_back(scalar.ctx()->charges);
+    if (scalar.ctx()->out.size() > 1) ++fan_out_rows;
+  }
+  ASSERT_GT(fan_out_rows, 0u) << "the probe stream must fan out";
+
+  for (size_t batch : kBatchSizes) {
+    OperatorDriver vec(&node, &plan, &stats, {});
+    ASSERT_TRUE(vec.BuildAndOpen().ok());
+    TupleBatch build_batch;
+    for (size_t i = 0; i < build.size(); ++i) {
+      build_batch.Append(build[i].tuple, build[i].bucket,
+                         static_cast<uint32_t>(i));
+    }
+    ASSERT_TRUE(vec.RunBatch(0, &build_batch).ok());
+    for (size_t pos = 0; pos < probe.size(); pos += batch) {
+      const size_t end = std::min(probe.size(), pos + batch);
+      TupleBatch in;
+      Charges expected;
+      for (size_t i = pos; i < end; ++i) {
+        in.Append(probe[i].tuple, probe[i].bucket,
+                  static_cast<uint32_t>(i - pos));
+        expected.insert(expected.end(), per_probe[i].begin(),
+                        per_probe[i].end());
+      }
+      ASSERT_TRUE(vec.RunBatch(1, &in).ok());
+      EXPECT_EQ(vec.ctx()->charges, expected)
+          << "batch=" << batch << " first row=" << pos;
+    }
   }
 }
 

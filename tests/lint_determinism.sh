@@ -42,21 +42,31 @@ for f in "$src_dir"/dqp/mirror_log.h "$src_dir"/dqp/mirror_log.cc \
   fi
 done
 
-# Sharded kernel (D15): the windowed driver advances on simulated time
-# only. A wall-clock sleep/yield (std::this_thread), a wall-clock read, or
-# unseeded randomness in the kernel files would make window boundaries —
-# and therefore the merged trace — depend on host scheduling.
-for f in "$src_dir"/sim/sharded.h "$src_dir"/sim/sharded.cc \
-         "$src_dir"/sim/simulator.h "$src_dir"/sim/simulator.cc \
-         "$src_dir"/common/concurrency.h "$src_dir"/common/concurrency.cc; do
+# Event kernel: virtual time is the only clock. A wall-clock read, a
+# sleep or unseeded randomness in the simulator would make event order
+# depend on the host.
+for f in "$src_dir"/sim/simulator.h "$src_dir"/sim/simulator.cc; do
   [ -f "$f" ] || continue
   hits=$(grep -nE 'std::this_thread|sleep_for|sleep_until|::time\(|gettimeofday|clock_gettime|[^_[:alnum:]]rand\(' "$f")
   if [ -n "$hits" ]; then
-    echo "lint_determinism: wall-clock/sleep/rand in shard-kernel file $f:"
+    echo "lint_determinism: wall-clock/sleep/rand in event-kernel file $f:"
     echo "$hits"
     status=1
   fi
 done
+
+# Single-threaded engine (DESIGN.md D1): tuple and value refcounts are
+# plain integers and the tuple block pool has no lock, which is only
+# correct while nothing in src/ starts a thread. Ban thread creation and
+# atomics outright; <mutex> stays allowed for the process-wide logger and
+# string interner.
+hits=$(grep -rnE 'std::(thread|jthread|async|this_thread|atomic)|__atomic_|#include[[:space:]]*<(thread|atomic)>' \
+         "$src_dir" --include='*.cc' --include='*.h' --include='*.cpp')
+if [ -n "$hits" ]; then
+  echo "lint_determinism: threads or atomics in the single-threaded engine:"
+  echo "$hits"
+  status=1
+fi
 
 # Multi-tenant workload + admission control (D16): the arrival schedule
 # and every admission decision must replay identically from the config
@@ -75,6 +85,6 @@ for f in "$src_dir"/workload/driver.h "$src_dir"/workload/driver.cc \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "lint_determinism: OK (no wall-clock or unseeded randomness in src/)"
+  echo "lint_determinism: OK (no wall-clock, unseeded randomness or threads in src/)"
 fi
 exit "$status"
