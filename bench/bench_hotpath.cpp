@@ -6,10 +6,10 @@
 //                              schedule/fire + schedule/cancel mix the rpc
 //                              and detector layers generate.
 //   2. join_tuples_per_sec   — partitioned hash-join build+probe through
-//                              HashJoinOperator::ProcessBatch (1024-row
-//                              batches, the vectorized executor path);
-//                              join_scalar_tuples_per_sec records the
-//                              per-tuple Process path for the trajectory.
+//                              HashJoinOperator::ProcessBatch in 1024-row
+//                              batches; join_batch1_tuples_per_sec records
+//                              one-row batches (the executor's default
+//                              batch size) for the trajectory.
 //   3. tuple_ops_per_sec     — row construction, refcounted copy and
 //                              WireSize accounting (the per-tuple tax of
 //                              the exchange machinery).
@@ -104,7 +104,7 @@ double BenchEvents(uint64_t target_events) {
 
 // ---- 2. hash join -------------------------------------------------------
 
-double BenchJoin(size_t build_rows, size_t probe_rows, bool vectorized,
+double BenchJoin(size_t build_rows, size_t probe_rows, size_t batch,
                  size_t* matches_out) {
   const SchemaPtr build_schema = MakeSchema(
       {{"k", DataType::kInt64}, {"payload", DataType::kInt64}});
@@ -158,40 +158,25 @@ double BenchJoin(size_t build_rows, size_t probe_rows, bool vectorized,
     ExecContext ctx;
     matches = 0;
     const auto start = Clock::now();
-    if (vectorized) {
-      // The executor's batch quantum: slices of the input stream appended
-      // (refcounted copy, as a queue pop hands over) into a reused batch,
-      // one ProcessBatch per slice.
-      constexpr size_t kBatch = 1024;
-      TupleBatch in, out;
-      for (int port = 0; port <= 1; ++port) {
-        const std::vector<Tuple>& rows = port == 0 ? build : probe;
-        for (size_t pos = 0; pos < rows.size(); pos += kBatch) {
-          const size_t n = std::min(kBatch, rows.size() - pos);
-          in.Clear();
-          for (size_t i = 0; i < n; ++i) {
-            const Tuple& t = rows[pos + i];
-            const uint64_t key = static_cast<uint64_t>(t.at(0).AsInt64());
-            in.Append(t, static_cast<int>(key % kBuckets),
-                      static_cast<uint32_t>(i));
-          }
-          ctx.ResetForBatch(n);
-          out.Clear();
-          (void)op->ProcessBatch(port, &in, &out, &ctx);
-          matches += out.size();
+    // The executor's batch quantum: slices of the input stream appended
+    // (refcounted copy, as a queue pop hands over) into a reused batch,
+    // one ProcessBatch per slice.
+    TupleBatch in, out;
+    for (int port = 0; port <= 1; ++port) {
+      const std::vector<Tuple>& rows = port == 0 ? build : probe;
+      for (size_t pos = 0; pos < rows.size(); pos += batch) {
+        const size_t n = std::min(batch, rows.size() - pos);
+        in.Clear();
+        for (size_t i = 0; i < n; ++i) {
+          const Tuple& t = rows[pos + i];
+          const uint64_t key = static_cast<uint64_t>(t.at(0).AsInt64());
+          in.Append(t, static_cast<int>(key % kBuckets),
+                    static_cast<uint32_t>(i));
         }
-      }
-    } else {
-      for (const Tuple& t : build) {
-        ctx.ResetForTuple();
-        const uint64_t key = static_cast<uint64_t>(t.at(0).AsInt64());
-        (void)op->Process(0, t, static_cast<int>(key % kBuckets), &ctx);
-      }
-      for (const Tuple& t : probe) {
-        ctx.ResetForTuple();
-        const uint64_t key = static_cast<uint64_t>(t.at(0).AsInt64());
-        (void)op->Process(1, t, static_cast<int>(key % kBuckets), &ctx);
-        matches += ctx.out.size();
+        ctx.ResetForBatch(n);
+        out.Clear();
+        (void)op->ProcessBatch(port, &in, &out, &ctx);
+        matches += out.size();
       }
     }
     const double secs = SecondsSince(start);
@@ -293,20 +278,20 @@ int main(int argc, char** argv) {
 
   size_t matches = 0;
   const double join_tuples_per_sec =
-      BenchJoin(build_rows, probe_rows, /*vectorized=*/true, &matches);
-  std::printf("%-24s %14.0f tuples/s   (%zu matches)\n", "hash join (batch)",
+      BenchJoin(build_rows, probe_rows, /*batch=*/1024, &matches);
+  std::printf("%-24s %14.0f tuples/s   (%zu matches)\n", "hash join (1024)",
               join_tuples_per_sec, matches);
   metrics.Set("join_tuples_per_sec", join_tuples_per_sec);
 
-  size_t scalar_matches = 0;
-  const double join_scalar_tuples_per_sec =
-      BenchJoin(build_rows, probe_rows, /*vectorized=*/false, &scalar_matches);
-  std::printf("%-24s %14.0f tuples/s   (%zu matches)\n", "hash join (scalar)",
-              join_scalar_tuples_per_sec, scalar_matches);
-  metrics.Set("join_scalar_tuples_per_sec", join_scalar_tuples_per_sec);
-  if (matches != scalar_matches) {
-    std::fprintf(stderr, "FATAL: batch/scalar join disagree: %zu vs %zu\n",
-                 matches, scalar_matches);
+  size_t batch1_matches = 0;
+  const double join_batch1_tuples_per_sec =
+      BenchJoin(build_rows, probe_rows, /*batch=*/1, &batch1_matches);
+  std::printf("%-24s %14.0f tuples/s   (%zu matches)\n", "hash join (1)",
+              join_batch1_tuples_per_sec, batch1_matches);
+  metrics.Set("join_batch1_tuples_per_sec", join_batch1_tuples_per_sec);
+  if (matches != batch1_matches) {
+    std::fprintf(stderr, "FATAL: batch 1024/1 joins disagree: %zu vs %zu\n",
+                 matches, batch1_matches);
     return 1;
   }
 

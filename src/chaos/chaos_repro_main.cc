@@ -1,5 +1,6 @@
 // chaos_repro --seed=N
-//   [--lossy|--slow-consumer|--memory-squeeze|--multi-query] [--trace]
+//   [--lossy|--slow-consumer|--memory-squeeze|--multi-query] [--batch=N]
+//   [--trace]
 //
 // Replays one chaos scenario and prints its description, invariant
 // violations, control-plane counters and trace fingerprint. Runs the
@@ -19,12 +20,12 @@
 
 namespace {
 
-/// Parses a full decimal seed; rejects empty or trailing garbage (a typo
-/// must not silently replay seed 0).
-bool ParseSeed(const char* text, uint64_t* seed) {
+/// Parses a full decimal number; rejects empty or trailing garbage (a
+/// typo must not silently replay seed 0).
+bool ParseUint64(const char* text, uint64_t* value) {
   if (*text == '\0') return false;
   char* end = nullptr;
-  *seed = std::strtoull(text, &end, 10);
+  *value = std::strtoull(text, &end, 10);
   return *end == '\0';
 }
 
@@ -33,7 +34,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --seed=N "
       "[--lossy|--slow-consumer|--memory-squeeze|--multi-query|"
-      "--coordinator-kill|--tenant-storm] [--trace]\n"
+      "--coordinator-kill|--tenant-storm] [--batch=N] [--trace]\n"
       "  --seed=N          scenario seed to replay (required)\n"
       "  --lossy           lossy-network profile (loss, partitions, "
       "stalls)\n"
@@ -48,7 +49,7 @@ void Usage(const char* argv0) {
       "admission control (D16)\n"
       "  --no-flow-control force flow control off (A/B against a flow-"
       "control profile)\n"
-      "  --vectorized      batch-at-a-time operator execution (D13)\n"
+      "  --batch=N         run N-row operator batches (D13; default 1)\n"
       "  --trace           dump the full event trace of the first run\n",
       argv0);
 }
@@ -60,18 +61,18 @@ int main(int argc, char** argv) {
   bool have_seed = false;
   bool dump_trace = false;
   bool no_flow_control = false;
-  bool vectorized = false;
+  size_t batch_size = 1;
   gqp::chaos::ChaosProfile profile = gqp::chaos::ChaosProfile::kStandard;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--seed=", 7) == 0) {
-      if (!ParseSeed(arg + 7, &seed)) {
+      if (!ParseUint64(arg + 7, &seed)) {
         std::fprintf(stderr, "invalid seed: '%s'\n", arg + 7);
         return 2;
       }
       have_seed = true;
     } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      if (!ParseSeed(argv[++i], &seed)) {
+      if (!ParseUint64(argv[++i], &seed)) {
         std::fprintf(stderr, "invalid seed: '%s'\n", argv[i]);
         return 2;
       }
@@ -90,8 +91,13 @@ int main(int argc, char** argv) {
       profile = gqp::chaos::ChaosProfile::kTenantStorm;
     } else if (std::strcmp(arg, "--no-flow-control") == 0) {
       no_flow_control = true;
-    } else if (std::strcmp(arg, "--vectorized") == 0) {
-      vectorized = true;
+    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
+      uint64_t n = 0;
+      if (!ParseUint64(arg + 8, &n) || n == 0) {
+        std::fprintf(stderr, "invalid batch size: '%s'\n", arg + 8);
+        return 2;
+      }
+      batch_size = static_cast<size_t>(n);
     } else if (std::strcmp(arg, "--trace") == 0) {
       dump_trace = true;
     } else if (std::strcmp(arg, "--verbose") == 0) {
@@ -112,7 +118,7 @@ int main(int argc, char** argv) {
     scenario.flow_control = false;
     scenario.memory_budget_bytes = 0;
   }
-  if (vectorized) scenario.vectorized = true;
+  scenario.vector_batch_size = batch_size;
   std::printf("%s\n", scenario.Describe().c_str());
 
   gqp::chaos::ChaosRunOptions options;
@@ -246,19 +252,19 @@ int main(int argc, char** argv) {
         gqp::chaos::FirstTraceDivergence(first.trace, second.trace),
         static_cast<unsigned long long>(first.trace_hash),
         static_cast<unsigned long long>(second.trace_hash),
-        gqp::chaos::ReproCommand(seed, profile, vectorized).c_str());
+        gqp::chaos::ReproCommand(seed, profile, batch_size).c_str());
   } else if (first.result_rows != second.result_rows) {
     ok = false;
     std::printf(
         "VIOLATION [determinism] identical traces but different result "
         "rows — repro: %s\n",
-        gqp::chaos::ReproCommand(seed, profile, vectorized).c_str());
+        gqp::chaos::ReproCommand(seed, profile, batch_size).c_str());
   } else if (first.workload.Render() != second.workload.Render()) {
     ok = false;
     std::printf(
         "VIOLATION [determinism] identical traces but different workload "
         "reports — repro: %s\n",
-        gqp::chaos::ReproCommand(seed, profile, vectorized).c_str());
+        gqp::chaos::ReproCommand(seed, profile, batch_size).c_str());
   }
 
   if (dump_trace) std::fputs(first.trace.c_str(), stdout);

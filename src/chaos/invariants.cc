@@ -350,13 +350,9 @@ void CheckBoundedMemory(GridSetup* grid, int query_id,
     const uint64_t window = config.credit_window_bytes;
     // Overshoot of one gated driver step: the credit gate is consulted
     // before a step starts, and one step routes up to `max_fanout` outputs
-    // per input tuple before the gate is seen again. A scalar step covers
-    // one tuple; a vectorized step covers a whole batch (D13).
-    const uint64_t step_tuples =
-        config.vectorized_enabled
-            ? std::max<uint64_t>(config.vector_batch_size, 1)
-            : 1;
-    const uint64_t slack = step_tuples * static_cast<uint64_t>(max_fanout) *
+    // per input tuple of its batch before the gate is seen again (D13).
+    const uint64_t batch = std::max<uint64_t>(config.vector_batch_size, 1);
+    const uint64_t slack = batch * static_cast<uint64_t>(max_fanout) *
                            (12 + max_tuple_wire_bytes);
 
     if (exec->producer() != nullptr) {

@@ -78,7 +78,7 @@ ChaosRunResult RunTenantStorm(const ChaosScenario& scenario,
                               const ChaosRunOptions& options) {
   ChaosRunResult result;
   const std::string repro =
-      ReproCommand(scenario.seed, scenario.profile, scenario.vectorized);
+      ReproCommand(scenario.seed, scenario.profile, scenario.vector_batch_size);
 
   GridOptions grid_options;
   grid_options.num_evaluators = scenario.num_evaluators;
@@ -299,7 +299,7 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   if (scenario.tenant_storm) return RunTenantStorm(scenario, options);
   ChaosRunResult result;
   const std::string repro =
-      ReproCommand(scenario.seed, scenario.profile, scenario.vectorized);
+      ReproCommand(scenario.seed, scenario.profile, scenario.vector_batch_size);
 
   GridOptions grid_options;
   grid_options.num_evaluators = scenario.num_evaluators;
@@ -402,7 +402,6 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   query_options.exec.recovery_log_enabled = true;
   query_options.exec.flow_control_enabled = scenario.flow_control;
   query_options.exec.memory_budget_bytes = scenario.memory_budget_bytes;
-  query_options.exec.vectorized_enabled = scenario.vectorized;
   query_options.exec.vector_batch_size = scenario.vector_batch_size;
   query_options.scheduler.num_evaluators = scenario.num_evaluators;
   query_options.deadline_ms = scenario.deadline_ms;

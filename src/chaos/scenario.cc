@@ -102,8 +102,8 @@ std::string ChaosScenario::Describe() const {
   if (flow_control) {
     out += StrCat(" fc=on budget=", memory_budget_bytes);
   }
-  if (vectorized) {
-    out += StrCat(" vec=on batch=", vector_batch_size);
+  if (vector_batch_size != 1) {
+    out += StrCat(" batch=", vector_batch_size);
   }
   if (!partitions.empty()) {
     out += " part=[";
@@ -475,7 +475,7 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
 }
 
 std::string ReproCommand(uint64_t seed, ChaosProfile profile,
-                         bool vectorized) {
+                         size_t batch_size) {
   std::string_view flag;
   switch (profile) {
     case ChaosProfile::kStandard:
@@ -501,7 +501,7 @@ std::string ReproCommand(uint64_t seed, ChaosProfile profile,
       break;
   }
   return StrCat("chaos_repro --seed=", seed, flag,
-                vectorized ? " --vectorized" : "");
+                batch_size != 1 ? StrCat(" --batch=", batch_size) : "");
 }
 
 }  // namespace chaos

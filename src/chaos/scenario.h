@@ -156,12 +156,11 @@ struct ChaosScenario {
   bool flow_control = false;
   size_t memory_budget_bytes = 0;
 
-  // --- vectorized execution (D13) ----------------------------------------
-  /// Batch-at-a-time operator execution. GenerateScenario never sets this
-  /// (legacy traces stay byte-identical); the vectorized sweeps and
-  /// `chaos_repro --vectorized` flip it after generation.
-  bool vectorized = false;
-  size_t vector_batch_size = 16;
+  // --- batch execution (D13) ---------------------------------------------
+  /// Rows per operator batch. GenerateScenario leaves the default of 1
+  /// (legacy traces stay byte-identical); the batch sweeps and
+  /// `chaos_repro --batch=N` set it after generation.
+  size_t vector_batch_size = 1;
 
   // --- multi-query (D12) -------------------------------------------------
   /// Queries submitted on top of the base `query` while it runs. Only the
@@ -216,10 +215,10 @@ ChaosScenario GenerateScenario(uint64_t seed,
                                ChaosProfile profile = ChaosProfile::kStandard);
 
 /// The one-line command that reproduces a scenario (printed with every
-/// invariant violation).
+/// invariant violation); `--batch=N` is included when N is not 1.
 std::string ReproCommand(uint64_t seed,
                          ChaosProfile profile = ChaosProfile::kStandard,
-                         bool vectorized = false);
+                         size_t batch_size = 1);
 
 }  // namespace chaos
 }  // namespace gqp

@@ -26,15 +26,12 @@ struct ExecConfig {
   /// this off.
   bool recovery_log_enabled = true;
 
-  // --- vectorized execution (D13) --------------------------------------
-  /// Batch-at-a-time operator execution: the executor pops up to
-  /// `vector_batch_size` runnable tuples per step and runs them through
-  /// the chain as one TupleBatch (one composite work item, one M1
-  /// accumulation, per-batch cost charging). Off by default: the scalar
-  /// path keeps the pinned golden traces byte-identical.
-  bool vectorized_enabled = false;
-  /// Rows per batch in vectorized mode.
-  size_t vector_batch_size = 64;
+  // --- batch execution (D13) --------------------------------------------
+  /// The executor pops up to this many runnable tuples per step and runs
+  /// them through the operator chain as one TupleBatch: one composite
+  /// work item, one M1 accumulation. The default of 1 keeps the paper's
+  /// per-tuple self-monitoring granularity and the pinned golden traces.
+  size_t vector_batch_size = 1;
 
   // --- credit-based flow control (D11) ---------------------------------
   /// Master switch. Off by default: with flow control disabled the engine

@@ -1,6 +1,7 @@
 #include "exec/flat_join_table.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace gqp {
 
@@ -12,11 +13,7 @@ constexpr size_t kMinSlots = 16;
 constexpr size_t kLoadNum = 7;
 constexpr size_t kLoadDen = 8;
 
-size_t NextPow2(size_t n) {
-  size_t p = kMinSlots;
-  while (p < n) p <<= 1;
-  return p;
-}
+size_t NextPow2(size_t n) { return std::bit_ceil(std::max(n, kMinSlots)); }
 
 }  // namespace
 

@@ -295,11 +295,7 @@ void FragmentExecutor::MaybeProcess() {
   if (plan_.fragment.IsScanLeaf()) {
     if (scan_row_ < scan_table_->num_rows()) {
       processing_ = true;
-      if (plan_.config.vectorized_enabled) {
-        ProcessScanBatch();
-      } else {
-        ProcessScanRow();
-      }
+      ProcessScanBatch();
     } else {
       CheckCompletion();
     }
@@ -314,88 +310,12 @@ void FragmentExecutor::MaybeProcess() {
     idle_tracking_ = false;
   }
   processing_ = true;
-  if (plan_.config.vectorized_enabled) {
-    ProcessQueuedBatch(port);
-  } else {
-    ProcessQueuedTuple(port);
-  }
-}
-
-void FragmentExecutor::ProcessScanRow() {
-  const Tuple& row = scan_table_->row(scan_row_++);
-  const Status s = driver_->RunScanRow(row);
-  if (!s.ok()) {
-    Fail(s);
-    processing_ = false;
-    return;
-  }
-  ++stats_.tuples_processed;
-  node_->SubmitComposite(driver_->ctx()->charges, [this](double actual_ms) {
-    if (abandoned_) return;
-    driver_->AccumulateTupleCost(actual_ms);
-    (void)DeliverOutputs(driver_->ctx());
-    driver_->MaybeEmitM1(producer() != nullptr);
-    processing_ = false;
-    MaybeProcess();
-  });
+  ProcessQueuedBatch(port);
 }
 
 bool FragmentExecutor::BucketBlocked(int bucket) const {
   return !state_->build_recovery_empty() ||
          state_->AwaitingRestore(bucket) || state_->Frozen(bucket);
-}
-
-void FragmentExecutor::ProcessQueuedTuple(int port) {
-  // Park probe tuples of in-move buckets (stateful fragments only).
-  if (port > 0) {
-    queues_->ParkBlocked(port,
-                         [this](int bucket) { return BucketBlocked(bucket); });
-  }
-  if (queues_->QueueEmpty(port)) {
-    processing_ = false;
-    MaybeProcess();
-    return;
-  }
-
-  QueuedTuple qt = queues_->PopFront(port);
-  // The tuple leaves the bounded queue here; its bytes stop counting
-  // against the producer's window (operator state is not budgeted).
-  queues_->ReleaseCredit(port, qt.producer_key, qt.wire_bytes);
-
-  const Status s = driver_->RunTuple(port, qt.rt.tuple, qt.rt.bucket);
-  if (!s.ok()) {
-    Fail(s);
-    processing_ = false;
-    return;
-  }
-  const bool retained = driver_->ctx()->retained;
-  ++stats_.tuples_processed;
-
-  node_->SubmitComposite(
-      driver_->ctx()->charges,
-      [this, port, qt = std::move(qt), retained](double actual_ms) {
-        if (abandoned_) return;
-        driver_->AccumulateTupleCost(actual_ms);
-        const std::vector<uint64_t> output_seqs =
-            DeliverOutputs(driver_->ctx());
-        state_->RecordProcessed(port, qt.producer_key, qt.rt.seq,
-                                qt.rt.bucket, retained, output_seqs,
-                                producer() != nullptr, finished_);
-        processing_ = false;
-        // Handle state moves that raced with this tuple: its seq is now
-        // in the processed set, so the purge/reply stay consistent. The
-        // driver stays suppressed until every deferred control message is
-        // dispatched — otherwise the first handler would start new tuple
-        // work and later purges/replies would race with it again.
-        dispatching_control_ = true;
-        std::vector<Message> deferred;
-        deferred.swap(deferred_state_moves_);
-        for (const Message& m : deferred) DispatchStateMove(m);
-        dispatching_control_ = false;
-        driver_->MaybeEmitM1(producer() != nullptr);
-        MaybeProcess();
-        CheckCompletion();
-      });
 }
 
 void FragmentExecutor::ProcessScanBatch() {
@@ -426,43 +346,46 @@ void FragmentExecutor::ProcessQueuedBatch(int port) {
   // never ride along with runnable ones — bucket state cannot change
   // while we pop, but the *front* changes with each pop).
   const size_t batch = std::max<size_t>(plan_.config.vector_batch_size, 1);
-  std::vector<QueuedTuple> popped;
-  popped.reserve(batch);
-  while (popped.size() < batch) {
+  popped_.clear();
+  while (popped_.size() < batch) {
     if (port > 0) {
       queues_->ParkBlocked(
           port, [this](int bucket) { return BucketBlocked(bucket); });
     }
     if (queues_->QueueEmpty(port)) break;
-    popped.push_back(queues_->PopFront(port));
-    const QueuedTuple& qt = popped.back();
+    popped_.push_back(queues_->PopFront(port));
+    // The tuple leaves the bounded queue here; its bytes stop counting
+    // against the producer's window (operator state is not budgeted).
+    const QueuedTuple& qt = popped_.back();
     queues_->ReleaseCredit(port, qt.producer_key, qt.wire_bytes);
   }
-  if (popped.empty()) {
+  if (popped_.empty()) {
     processing_ = false;
     MaybeProcess();
     return;
   }
 
-  const size_t n = popped.size();
-  TupleBatch in;
-  in.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    in.Append(popped[i].rt.tuple, popped[i].rt.bucket,
-              static_cast<uint32_t>(i));
+  // The completion needs only each popped tuple's identity, so the rows
+  // move into the chain input.
+  in_batch_.Clear();
+  for (size_t i = 0; i < popped_.size(); ++i) {
+    in_batch_.Append(std::move(popped_[i].rt.tuple), popped_[i].rt.bucket,
+                     static_cast<uint32_t>(i));
   }
-  const Status s = driver_->RunBatch(port, &in);
+  const Status s = driver_->RunBatch(port, &in_batch_);
   if (!s.ok()) {
     Fail(s);
     processing_ = false;
     return;
   }
-  stats_.tuples_processed += n;
+  stats_.tuples_processed += popped_.size();
 
+  // popped_ stays untouched until the completion runs: processing_ keeps
+  // the driver from starting another batch before then.
   node_->SubmitComposite(
-      driver_->ctx()->charges,
-      [this, port, popped = std::move(popped), n](double actual_ms) {
+      driver_->ctx()->charges, [this, port](double actual_ms) {
         if (abandoned_) return;
+        const size_t n = popped_.size();
         driver_->AccumulateBatchCost(actual_ms, n);
         ExecContext* ctx = driver_->ctx();
         // DeliverOutputs clears ctx->out but leaves out_origin: seqs[i]
@@ -470,22 +393,24 @@ void FragmentExecutor::ProcessQueuedBatch(int port) {
         // non-decreasing — every operator emits in input-row order).
         const std::vector<uint64_t> output_seqs = DeliverOutputs(ctx);
         size_t next_out = 0;
-        std::vector<uint64_t> row_seqs;
         for (size_t i = 0; i < n; ++i) {
-          row_seqs.clear();
+          row_seqs_.clear();
           while (next_out < output_seqs.size() &&
                  ctx->out_origin[next_out] == i) {
-            row_seqs.push_back(output_seqs[next_out]);
+            row_seqs_.push_back(output_seqs[next_out]);
             ++next_out;
           }
-          state_->RecordProcessed(port, popped[i].producer_key,
-                                  popped[i].rt.seq, popped[i].rt.bucket,
-                                  ctx->row_retained[i] != 0, row_seqs,
+          state_->RecordProcessed(port, popped_[i].producer_key,
+                                  popped_[i].rt.seq, popped_[i].rt.bucket,
+                                  ctx->row_retained[i] != 0, row_seqs_,
                                   producer() != nullptr, finished_);
         }
         processing_ = false;
-        // Same deferred-control drain as the scalar path: state moves that
-        // raced with this batch see every popped seq in the processed set.
+        // Handle state moves that raced with this batch: every popped seq
+        // is now in the processed set, so the purge/reply stay consistent.
+        // The driver stays suppressed until every deferred control message
+        // is dispatched — otherwise the first handler would start new
+        // tuple work and later purges/replies would race with it again.
         dispatching_control_ = true;
         std::vector<Message> deferred;
         deferred.swap(deferred_state_moves_);

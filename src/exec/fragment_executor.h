@@ -125,11 +125,10 @@ class FragmentExecutor : public GridService {
   void DispatchStateMove(const Message& msg);
 
   // --- tuple driver ------------------------------------------------------
+  // Two-phase batch driver (DESIGN.md §D13): run a batch of up to
+  // vector_batch_size tuples through the chain, submit one composite work
+  // item for it, and finish the batch's bookkeeping on completion.
   void MaybeProcess();
-  void ProcessScanRow();
-  void ProcessQueuedTuple(int port);
-  // Vectorized mode (DESIGN.md §D13): same two-phase shape, but one
-  // composite work item covers a whole popped batch.
   void ProcessScanBatch();
   void ProcessQueuedBatch(int port);
   /// Flushes pending credit grants and starts idle-wait tracking.
@@ -173,6 +172,13 @@ class FragmentExecutor : public GridService {
   /// tuple would be missing from both the purge and the processed-set
   /// reply, and the producer would resend it (duplicating results).
   std::vector<Message> deferred_state_moves_;
+
+  /// The batch in flight (one at a time, guarded by processing_): the
+  /// popped queue entries, their chain input, and per-row output seqs
+  /// scratch. Members so their capacity is reused across batches.
+  std::vector<QueuedTuple> popped_;
+  TupleBatch in_batch_;
+  std::vector<uint64_t> row_seqs_;
 
   bool began_ = false;
   bool processing_ = false;

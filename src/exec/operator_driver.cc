@@ -30,28 +30,10 @@ Status OperatorDriver::BuildAndOpen() {
                          MakeOperator(fragment_->ops[i]));
     ops_.push_back(std::move(op));
   }
-  for (size_t i = 0; i + 1 < ops_.size(); ++i) {
-    ops_[i]->set_next(ops_[i + 1].get());
-  }
   for (auto& op : ops_) {
     GQP_RETURN_IF_ERROR(op->Open(&ctx_));
   }
   return Status::OK();
-}
-
-Status OperatorDriver::RunScanRow(const Tuple& row) {
-  ctx_.ResetForTuple();
-  ctx_.Charge(scan_tag_, scan_cost_ms_);
-  if (!ops_.empty()) {
-    return ops_.front()->Process(0, row, -1, &ctx_);
-  }
-  ctx_.out.push_back(row);
-  return Status::OK();
-}
-
-Status OperatorDriver::RunTuple(int port, const Tuple& tuple, int bucket) {
-  ctx_.ResetForTuple();
-  return ops_.front()->Process(port, tuple, bucket, &ctx_);
 }
 
 Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
@@ -69,29 +51,33 @@ Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
     ExpandBatchCharges();
     return Status::OK();
   }
-  scan_batch_.Clear();
-  scan_batch_.Reserve(n);
+  stage_.Clear();
   for (size_t i = 0; i < n; ++i) {
-    scan_batch_.Append(table.row(start + i), -1, static_cast<uint32_t>(i));
+    stage_.Append(table.row(start + i), -1, static_cast<uint32_t>(i));
   }
-  return RunChainBatch(0, &scan_batch_);
+  GQP_RETURN_IF_ERROR(RunChainBatch(0, 0, &stage_));
+  ExpandBatchCharges();
+  return Status::OK();
 }
 
 Status OperatorDriver::RunBatch(int port, TupleBatch* in) {
   ctx_.ResetForBatch(in->size());
   num_steps_ = 0;
-  return RunChainBatch(port, in);
+  GQP_RETURN_IF_ERROR(RunChainBatch(0, port, in));
+  ExpandBatchCharges();
+  return Status::OK();
 }
 
-Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
+Status OperatorDriver::RunChainBatch(size_t first, int port,
+                                     TupleBatch* in) {
   TupleBatch* cur = in;
   TupleBatch* next = &scratch_a_;
-  for (auto& op : ops_) {
+  for (size_t i = first; i < ops_.size(); ++i) {
     next->Clear();
     // The chain's first step takes the input rows (or the scan rows) one
     // to one; later steps take the previous operator's derived rows.
     BeginStep(cur->size(), cur == in ? nullptr : &cur->parents());
-    const Status s = op->ProcessBatch(port, cur, next, &ctx_);
+    const Status s = ops_[i]->ProcessBatch(port, cur, next, &ctx_);
     EndStep();
     GQP_RETURN_IF_ERROR(s);
     // Ping-pong: the consumed batch becomes the next stage's output
@@ -108,7 +94,6 @@ Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
     ctx_.out.push_back(cur->TakeTuple(i));
     ctx_.out_origin.push_back(cur->origin(i));
   }
-  ExpandBatchCharges();
   return Status::OK();
 }
 
@@ -130,6 +115,15 @@ void OperatorDriver::BeginStep(size_t rows,
 void OperatorDriver::ExpandBatchCharges() {
   ctx_.charges.clear();
   if (num_steps_ == 0) return;
+  // While no step holds more than one row (a batch of one without a
+  // fan-out), each step charged its unit at most once, so the recorded
+  // units already are the parts, in depth-first order.
+  bool single_rows = true;
+  for (size_t s = 0; s < num_steps_; ++s) single_rows &= steps_[s].rows <= 1;
+  if (single_rows) {
+    ctx_.charges.swap(ctx_.row_charges);
+    return;
+  }
   step_cursor_.assign(num_steps_, 0);
   for (size_t row = 0; row < steps_[0].rows; ++row) ChargeRow(0, row);
 }
@@ -161,10 +155,20 @@ void OperatorDriver::FinishPorts(size_t num_ports) {
 }
 
 bool OperatorDriver::FinishChain() {
-  ctx_.ResetForTuple();
+  ctx_.ResetForBatch(0);
   if (ops_.empty()) return false;
-  const Status s = ops_.front()->Finish(&ctx_);
-  if (!s.ok()) hooks_.fail(s);
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    stage_.Clear();
+    Status s = ops_[i]->Finish(&stage_, &ctx_);
+    if (s.ok() && !stage_.empty()) {
+      num_steps_ = 0;
+      s = RunChainBatch(i + 1, 0, &stage_);
+    }
+    if (!s.ok()) {
+      hooks_.fail(s);
+      break;
+    }
+  }
   return true;
 }
 

@@ -1,10 +1,10 @@
 // Operator-chain driver of a fragment instance (DESIGN.md §D12): builds
-// and owns the physical operator chain, runs tuples through it with cost
-// charging into the shared ExecContext, and owns the M1 self-monitoring
-// loop (cost/wait per tuple, selectivity) between emissions. Scheduling —
-// when a tuple runs, how its composite work item is submitted, what
-// happens on completion — stays with the composition root
-// (FragmentExecutor).
+// and owns the physical operator chain, runs batches of tuples through it
+// with cost charging into the shared ExecContext (DESIGN.md §D13), and
+// owns the M1 self-monitoring loop (cost/wait per tuple, selectivity)
+// between emissions. Scheduling — when a batch runs, how its composite
+// work item is submitted, what happens on completion — stays with the
+// composition root (FragmentExecutor).
 
 #ifndef GRIDQP_EXEC_OPERATOR_DRIVER_H_
 #define GRIDQP_EXEC_OPERATOR_DRIVER_H_
@@ -40,13 +40,6 @@ class OperatorDriver {
   bool has_ops() const { return !ops_.empty(); }
   ExecContext* ctx() { return &ctx_; }
 
-  /// Runs one scan row through the chain, charging the scan descriptor's
-  /// cost first.
-  Status RunScanRow(const Tuple& row);
-  /// Runs one queued exchange tuple through the chain.
-  Status RunTuple(int port, const Tuple& tuple, int bucket);
-
-  // --- vectorized mode (DESIGN.md §D13) ---------------------------------
   /// Runs `n` scan rows starting at `start` through the chain as one
   /// batch, charging the scan cost per row first.
   Status RunScanBatch(const Table& table, size_t start, size_t n);
@@ -54,31 +47,27 @@ class OperatorDriver {
   /// consumed; per-row retention lands in ctx()->row_retained, outputs in
   /// ctx()->out with their input-row origin in ctx()->out_origin.
   ///
-  /// Both batch runs leave in ctx()->charges exactly the parts the scalar
-  /// path would have charged for the same rows, in the same order (each
-  /// input row, then depth first through every row derived from it), so a
-  /// batch of one costs bit-for-bit what one scalar tuple does.
+  /// Both batch runs leave in ctx()->charges one part per row per
+  /// operator, in row order (each input row, then depth first through
+  /// every row derived from it), so a batch costs bit-for-bit what its
+  /// rows cost as batches of one.
   Status RunBatch(int port, TupleBatch* in);
 
   /// FinishPort on every operator for every port; errors go to `fail`.
   void FinishPorts(size_t num_ports);
-  /// Resets the context and flushes chain-finish output into it. Returns
-  /// true when the chain exists (the caller delivers ctx()->out).
+  /// Resets the context and finishes every operator in chain order,
+  /// running each one's flush rows through the operators after it; the
+  /// survivors land in ctx()->out. The charges of this pass are not
+  /// expanded (the caller submits no work item for it). Returns true when
+  /// the chain exists (the caller delivers ctx()->out).
   bool FinishChain();
 
   void PurgeBuckets(const std::vector<int>& buckets);
 
   // --- M1 self-monitoring ----------------------------------------------
-  /// Records one tuple's actual (perturbed) cost, in both the fragment
-  /// stats and the M1 accumulators.
-  void AccumulateTupleCost(double actual_ms) {
-    stats_->busy_ms += actual_ms;
-    m1_cost_ms_ += actual_ms;
-    ++m1_tuples_;
-  }
-  /// Batch-mode variant: one work item covered `n` tuples, so the M1
-  /// accumulators advance by the whole batch at once (batch-boundary
-  /// monitoring granularity).
+  /// Records the actual (perturbed) cost of one work item that covered
+  /// `n` tuples, in both the fragment stats and the M1 accumulators (the
+  /// M1 accumulators advance by the whole batch at once).
   void AccumulateBatchCost(double actual_ms, uint64_t n) {
     stats_->busy_ms += actual_ms;
     m1_cost_ms_ += actual_ms;
@@ -112,9 +101,9 @@ class OperatorDriver {
   const FragmentDesc* fragment_;
   FragmentStats* stats_;
   Hooks hooks_;
-  /// Walks the batch through the chain; the survivors of the last
+  /// Walks the batch through ops_[first..]; the survivors of the last
   /// operator move into ctx_.out / ctx_.out_origin.
-  Status RunChainBatch(int port, TupleBatch* in);
+  Status RunChainBatch(size_t first, int port, TupleBatch* in);
 
   /// One charging step of a batch run (the scan, then each operator): its
   /// input row count, each input row's parent among the previous step's
@@ -130,7 +119,7 @@ class OperatorDriver {
   void EndStep() {
     steps_[num_steps_ - 1].charges_end = ctx_.row_charges.size();
   }
-  /// Fills ctx_.charges from the recorded steps in scalar order.
+  /// Fills ctx_.charges from the recorded steps in row order.
   void ExpandBatchCharges();
   void ChargeRow(size_t step, size_t row);
 
@@ -139,8 +128,8 @@ class OperatorDriver {
   /// Ping-pong scratch batches for RunChainBatch (capacity reused).
   TupleBatch scratch_a_;
   TupleBatch scratch_b_;
-  /// Scan-batch staging (capacity reused).
-  TupleBatch scan_batch_;
+  /// Staging of scan rows and finish-pass flush rows (capacity reused).
+  TupleBatch stage_;
   /// Steps of the current batch run: the first num_steps_ entries (the
   /// rest is storage kept from earlier batches).
   std::vector<BatchStep> steps_;

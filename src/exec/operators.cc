@@ -14,18 +14,11 @@ Status PhysicalOperator::FinishPort(int, ExecContext*) {
   return Status::OK();
 }
 
-Status PhysicalOperator::Finish(ExecContext* ctx) {
-  if (next_ != nullptr) return next_->Finish(ctx);
+Status PhysicalOperator::Finish(TupleBatch*, ExecContext*) {
   return Status::OK();
 }
 
 void PhysicalOperator::PurgeBuckets(const std::vector<int>&) {}
-
-Status PhysicalOperator::Emit(const Tuple& tuple, ExecContext* ctx) {
-  if (next_ != nullptr) return next_->Process(0, tuple, -1, ctx);
-  ctx->out.push_back(tuple);
-  return Status::OK();
-}
 
 // ---- Filter ------------------------------------------------------------
 
@@ -33,14 +26,6 @@ FilterOperator::FilterOperator(const PhysOpDesc& desc)
     : predicate_(desc.predicate),
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
-
-Status FilterOperator::Process(int, const Tuple& tuple, int,
-                               ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  GQP_ASSIGN_OR_RETURN(Value v, predicate_->Eval(tuple, ctx->functions));
-  if (!ValueIsTrue(v)) return Status::OK();
-  return Emit(tuple, ctx);
-}
 
 Status FilterOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                     ExecContext* ctx) {
@@ -66,18 +51,6 @@ ProjectOperator::ProjectOperator(const PhysOpDesc& desc)
       out_schema_(desc.out_schema),
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
-
-Status ProjectOperator::Process(int, const Tuple& tuple, int,
-                                ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  std::vector<Value> values;
-  values.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    GQP_ASSIGN_OR_RETURN(Value v, e->Eval(tuple, ctx->functions));
-    values.push_back(std::move(v));
-  }
-  return Emit(Tuple(out_schema_, std::move(values)), ctx);
-}
 
 Status ProjectOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                      ExecContext* ctx) {
@@ -105,29 +78,13 @@ OperationCallOperator::OperationCallOperator(const PhysOpDesc& desc)
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
 
-Status OperationCallOperator::Process(int, const Tuple& tuple, int,
-                                      ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  if (arg_col_ >= tuple.size()) {
-    return Status::OutOfRange(
-        StrCat("operation call argument column ", arg_col_, " out of range"));
-  }
-  GQP_ASSIGN_OR_RETURN(FunctionRegistry::Fn fn,
-                       ctx->functions->Find(ws_name_));
-  GQP_ASSIGN_OR_RETURN(Value result, fn({tuple.at(arg_col_)}));
-  std::vector<Value> values(tuple.data(), tuple.data() + tuple.size());
-  values.push_back(std::move(result));
-  return Emit(Tuple(out_schema_, std::move(values)), ctx);
-}
-
 Status OperationCallOperator::ProcessBatch(int, TupleBatch* in,
                                            TupleBatch* out,
                                            ExecContext* ctx) {
   const size_t n = in->size();
   if (n == 0) return Status::OK();
   ctx->ChargeN(tag_, cost_ms_, n);
-  // One registry lookup for the whole batch (the std::function copy is
-  // the scalar path's per-tuple tax).
+  // One registry lookup for the whole batch (it copies a std::function).
   GQP_ASSIGN_OR_RETURN(FunctionRegistry::Fn fn,
                        ctx->functions->Find(ws_name_));
   std::vector<Value> args(1);
@@ -148,6 +105,15 @@ Status OperationCallOperator::ProcessBatch(int, TupleBatch* in,
 
 // ---- HashJoin ----------------------------------------------------------
 
+namespace {
+
+/// A row's build-table index: unpartitioned rows (bucket -1) share table 0.
+size_t BucketIndex(int bucket) {
+  return static_cast<size_t>(bucket < 0 ? 0 : bucket);
+}
+
+}  // namespace
+
 HashJoinOperator::HashJoinOperator(const PhysOpDesc& desc)
     : build_key_(desc.build_key),
       probe_key_(desc.probe_key),
@@ -160,50 +126,11 @@ HashJoinOperator::HashJoinOperator(const PhysOpDesc& desc)
               static_cast<size_t>(std::max(desc.build_partitions, 1)) +
           1) {}
 
-FlatJoinTable& HashJoinOperator::TableForBucket(int bucket) {
-  if (static_cast<size_t>(bucket) >= state_.size()) {
-    state_.resize(static_cast<size_t>(bucket) + 1);
-  }
-  FlatJoinTable& table = state_[static_cast<size_t>(bucket)];
+FlatJoinTable& HashJoinOperator::TableForBucket(size_t bucket) {
+  if (bucket >= state_.size()) state_.resize(bucket + 1);
+  FlatJoinTable& table = state_[bucket];
   if (table.empty()) table.Reserve(bucket_reserve_hint_);
   return table;
-}
-
-Status HashJoinOperator::Process(int port, const Tuple& tuple, int bucket,
-                                 ExecContext* ctx) {
-  if (bucket < 0) bucket = 0;  // single-consumer (unpartitioned) execution
-  if (port == 0) {
-    ctx->Charge(tag_, build_cost_ms_);
-    if (build_key_ >= tuple.size()) {
-      return Status::OutOfRange("build key column out of range");
-    }
-    const Value& key = tuple.at(build_key_);
-    if (TableForBucket(bucket).Insert(key.JoinHash(), tuple)) {
-      ++duplicate_build_inserts_;
-      GQP_LOG_WARN << "hash join: duplicate build insert, key="
-                   << key.ToString() << " bucket=" << bucket;
-    }
-    ctx->retained = true;
-    return Status::OK();
-  }
-  if (port == 1) {
-    ctx->Charge(tag_, probe_cost_ms_);
-    if (probe_key_ >= tuple.size()) {
-      return Status::OutOfRange("probe key column out of range");
-    }
-    const Value& key = tuple.at(probe_key_);
-    if (static_cast<size_t>(bucket) >= state_.size()) return Status::OK();
-    Status status = Status::OK();
-    state_[static_cast<size_t>(bucket)].ForEachMatch(
-        key.JoinHash(), [&](const Tuple& build_tuple) {
-          // Hash collision: the stored key is the build tuple's key column.
-          if (!status.ok() || build_tuple.at(build_key_) != key) return;
-          status = Emit(Tuple::Concat(out_schema_, build_tuple, tuple), ctx);
-        });
-    return status;
-  }
-  return Status::InvalidArgument(
-      StrCat("hash join has no input port ", port));
 }
 
 Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
@@ -211,21 +138,23 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
   const size_t n = in->size();
   if (port == 0) {
     ctx->ChargeN(tag_, build_cost_ms_, n);
-    // Pre-size each touched bucket for its share of the batch so entry
-    // vectors and slot arrays grow at most once per batch.
-    batch_bucket_counts_.clear();
+    // Pass 1: pre-size each touched bucket's table for its share of the
+    // batch, so it grows at most once per batch and the prefetches below
+    // target its final slot array.
     for (size_t i = 0; i < n; ++i) {
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      if (bucket >= batch_bucket_counts_.size()) {
-        batch_bucket_counts_.resize(bucket + 1, 0);
+      const size_t bucket = BucketIndex(in->bucket(i));
+      if (bucket >= batch_bucket_rows_.size()) {
+        batch_bucket_rows_.resize(bucket + 1, 0);
       }
-      ++batch_bucket_counts_[bucket];
+      ++batch_bucket_rows_[bucket];
     }
-    for (size_t b = 0; b < batch_bucket_counts_.size(); ++b) {
-      if (batch_bucket_counts_[b] == 0) continue;
-      FlatJoinTable& table = TableForBucket(static_cast<int>(b));
-      table.Reserve(table.size() + batch_bucket_counts_[b]);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t bucket = BucketIndex(in->bucket(i));
+      size_t& rows = batch_bucket_rows_[bucket];
+      if (rows == 0) continue;  // already sized
+      FlatJoinTable& table = TableForBucket(bucket);
+      table.Reserve(table.size() + rows);
+      rows = 0;
     }
     // Pass 2: hash the key column and prefetch each row's destination
     // slot, so the insert loop's slot-array misses overlap with the
@@ -239,15 +168,13 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
       }
       const uint64_t hash = tuple.at(build_key_).JoinHash();
       hash_scratch_.push_back(hash);
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      state_[bucket].Prefetch(hash);
+      state_[BucketIndex(in->bucket(i))].Prefetch(hash);
     }
     // Pass 3: insert.
     for (size_t i = 0; i < n; ++i) {
       const Tuple& tuple = in->tuple(i);
-      const int bucket = in->bucket(i) < 0 ? 0 : in->bucket(i);
-      if (TableForBucket(bucket).Insert(hash_scratch_[i], tuple)) {
+      const size_t bucket = BucketIndex(in->bucket(i));
+      if (state_[bucket].Insert(hash_scratch_[i], tuple)) {
         ++duplicate_build_inserts_;
         GQP_LOG_WARN << "hash join: duplicate build insert, key="
                      << tuple.at(build_key_).ToString()
@@ -273,8 +200,7 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
       }
       const uint64_t hash = tuple.at(probe_key_).JoinHash();
       hash_scratch_.push_back(hash);
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
+      const size_t bucket = BucketIndex(in->bucket(i));
       if (bucket < state_.size()) state_[bucket].Prefetch(hash);
     }
     // Pass 2a: scan the (cache-resident) slot tags for each row's
@@ -283,8 +209,7 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
     cand_scratch_.clear();
     cand_scratch_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
+      const size_t bucket = BucketIndex(in->bucket(i));
       cand_scratch_.push_back(bucket < state_.size()
                                   ? state_[bucket].CandidateSlot(
                                         hash_scratch_[i])
@@ -296,8 +221,7 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
     for (size_t i = 0; i < n; ++i) {
       uint32_t head = 0;
       if (cand_scratch_[i] != FlatJoinTable::kNoSlot) {
-        const size_t bucket =
-            static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
+        const size_t bucket = BucketIndex(in->bucket(i));
         head = state_[bucket].ConfirmHead(hash_scratch_[i],
                                           cand_scratch_[i]);
       }
@@ -311,14 +235,12 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
     constexpr size_t kLookahead = 12;
     for (size_t i = 0; i < n; ++i) {
       if (i + kLookahead < n && head_scratch_[i + kLookahead] != 0) {
-        const size_t pf_bucket = static_cast<size_t>(
-            in->bucket(i + kLookahead) < 0 ? 0 : in->bucket(i + kLookahead));
+        const size_t pf_bucket = BucketIndex(in->bucket(i + kLookahead));
         state_[pf_bucket].PrefetchMatchPayload(head_scratch_[i + kLookahead]);
       }
       const uint32_t head = head_scratch_[i];
       if (head == 0) continue;
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
+      const size_t bucket = BucketIndex(in->bucket(i));
       const Tuple& tuple = in->tuple(i);
       const Value& key = tuple.at(probe_key_);
       state_[bucket].ForEachMatchFrom(head, [&](const Tuple& build_tuple) {
@@ -336,7 +258,7 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
 
 void HashJoinOperator::PurgeBuckets(const std::vector<int>& buckets) {
   for (const int b : buckets) {
-    const size_t idx = static_cast<size_t>(b < 0 ? 0 : b);
+    const size_t idx = BucketIndex(b);
     if (idx < state_.size()) state_[idx].Clear();
   }
 }
@@ -348,7 +270,7 @@ size_t HashJoinOperator::StateSize() const {
 }
 
 size_t HashJoinOperator::StateSizeForBucket(int bucket) const {
-  const size_t idx = static_cast<size_t>(bucket < 0 ? 0 : bucket);
+  const size_t idx = BucketIndex(bucket);
   return idx < state_.size() ? state_[idx].size() : 0;
 }
 
@@ -412,31 +334,6 @@ Status HashAggregateOperator::Accumulate(GroupState* group,
   return Status::OK();
 }
 
-Status HashAggregateOperator::Process(int port, const Tuple& tuple,
-                                      int bucket, ExecContext* ctx) {
-  if (port != 0) {
-    return Status::InvalidArgument("hash aggregate has a single input port");
-  }
-  if (bucket < 0) bucket = 0;
-  ctx->Charge(tag_, cost_ms_);
-
-  std::vector<Value> group_values;
-  group_values.reserve(group_exprs_.size());
-  for (const ExprPtr& e : group_exprs_) {
-    GQP_ASSIGN_OR_RETURN(Value v, e->Eval(tuple, ctx->functions));
-    group_values.push_back(std::move(v));
-  }
-  const std::string key = EncodeGroupKey(group_values);
-  auto [it, inserted] = state_[bucket].try_emplace(key);
-  if (inserted) {
-    it->second.group_values = std::move(group_values);
-    it->second.accums.resize(aggs_.size());
-  }
-  GQP_RETURN_IF_ERROR(Accumulate(&it->second, tuple, ctx));
-  ctx->retained = true;
-  return Status::OK();
-}
-
 Status HashAggregateOperator::ProcessBatch(int port, TupleBatch* in,
                                            TupleBatch* out,
                                            ExecContext* ctx) {
@@ -492,19 +389,19 @@ Value HashAggregateOperator::Finalize(const AggSpec& spec,
   return Value::Null();
 }
 
-Status HashAggregateOperator::Finish(ExecContext* ctx) {
+Status HashAggregateOperator::Finish(TupleBatch* out, ExecContext* ctx) {
+  ctx->ChargeN(tag_, cost_ms_, GroupCount());
   for (const auto& [bucket, groups] : state_) {
     for (const auto& [key, group] : groups) {
-      ctx->Charge(tag_, cost_ms_);
       std::vector<Value> values = group.group_values;
       for (size_t i = 0; i < aggs_.size(); ++i) {
         values.push_back(Finalize(aggs_[i], group.accums[i]));
       }
-      GQP_RETURN_IF_ERROR(Emit(Tuple(out_schema_, std::move(values)), ctx));
+      out->Append(Tuple(out_schema_, std::move(values)), -1,
+                  static_cast<uint32_t>(out->size()));
     }
   }
   state_.clear();
-  if (next_ != nullptr) return next_->Finish(ctx);
   return Status::OK();
 }
 
@@ -523,19 +420,11 @@ size_t HashAggregateOperator::GroupCount() const {
 CollectOperator::CollectOperator(const PhysOpDesc& desc)
     : cost_ms_(desc.base_cost_ms), tag_(InternString(desc.cost_tag)) {}
 
-Status CollectOperator::Process(int, const Tuple& tuple, int,
-                                ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  results_.push_back(tuple);
-  return Status::OK();
-}
-
 Status CollectOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                      ExecContext* ctx) {
   (void)out;  // collect is a sink
   const size_t n = in->size();
   ctx->ChargeN(tag_, cost_ms_, n);
-  results_.reserve(results_.size() + n);
   for (size_t i = 0; i < n; ++i) results_.push_back(in->TakeTuple(i));
   return Status::OK();
 }

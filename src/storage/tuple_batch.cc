@@ -2,14 +2,6 @@
 
 namespace gqp {
 
-void TupleBatch::FillColumn(size_t col, std::vector<const Value*>* view) const {
-  view->clear();
-  view->reserve(tuples_.size());
-  for (const Tuple& t : tuples_) {
-    view->push_back(col < t.size() ? &t.at(col) : nullptr);
-  }
-}
-
 void TupleBatch::Compact(const std::vector<unsigned char>& mask) {
   const bool derived = !parents_.empty();
   size_t keep = 0;

@@ -1,18 +1,16 @@
 // TupleBatch: a column-addressable run of tuples, the unit of work of the
-// vectorized execution mode (DESIGN.md §D13). A batch carries, per row,
+// execution engine (DESIGN.md §D13). A batch carries, per row,
 // the tuple itself, the logical exchange bucket it was routed to, and the
 // row's *origin* — its index in the batch the driver popped from the input
 // queue — so per-input-tuple bookkeeping (retained flags, the
 // output-to-input acknowledgment cascade) survives filtering and joins
 // that reshape the row set. Rows an operator derives from its input also
 // record their *parent*, the index of the input row they came from, so the
-// driver can charge the batch in the scalar path's depth-first order.
+// driver can charge the batch row by row, depth first.
 //
 // Batches are transient scratch space: operators consume one batch and
 // append to the next, so the backing vectors are reused across steps
-// (Clear keeps capacity). Column() materializes a per-row Value-pointer
-// view of one column so tight loops (join key probes, operation-call
-// arguments) skip the per-row header indirection of Tuple::at.
+// (Clear keeps capacity).
 
 #ifndef GRIDQP_STORAGE_TUPLE_BATCH_H_
 #define GRIDQP_STORAGE_TUPLE_BATCH_H_
@@ -30,13 +28,6 @@ class TupleBatch {
 
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
-
-  void Reserve(size_t n) {
-    tuples_.reserve(n);
-    buckets_.reserve(n);
-    origins_.reserve(n);
-    parents_.reserve(n);
-  }
 
   /// Drops all rows, keeping the backing capacity (batches are recycled
   /// across chain steps).
@@ -56,7 +47,8 @@ class TupleBatch {
   }
 
   /// Appends an operator output derived from row `i` of `in`: bucket -1
-  /// (exactly what scalar Emit forwards), in's origin, parent i.
+  /// (outputs are not partitioned within a fragment), in's origin,
+  /// parent i.
   void AppendDerived(Tuple tuple, const TupleBatch& in, size_t i) {
     tuples_.push_back(std::move(tuple));
     buckets_.push_back(-1);
@@ -70,25 +62,9 @@ class TupleBatch {
   /// Each derived row's parent; empty for a batch of input rows.
   const std::vector<uint32_t>& parents() const { return parents_; }
 
-  /// Replaces row i's tuple in place (projection-style rewrites that
-  /// preserve bucket and origin).
-  void ReplaceTuple(size_t i, Tuple tuple) { tuples_[i] = std::move(tuple); }
-
-  /// Per-row pointers to column `col`, in row order. Rows too narrow for
-  /// the column yield nullptr; callers check once per batch instead of
-  /// per row. The view is invalidated by any mutation of the batch.
-  void FillColumn(size_t col, std::vector<const Value*>* view) const;
-
   /// Keeps exactly the rows with mask[i] != 0 (stable order). mask must
   /// have size() entries.
   void Compact(const std::vector<unsigned char>& mask);
-
-  void Swap(TupleBatch& other) {
-    tuples_.swap(other.tuples_);
-    buckets_.swap(other.buckets_);
-    origins_.swap(other.origins_);
-    parents_.swap(other.parents_);
-  }
 
   /// Moves row i's tuple out (tail-of-chain handoff into the staged
   /// output); the batch is in a moved-from state afterwards.

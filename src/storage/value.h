@@ -33,7 +33,7 @@ std::string_view DataTypeToString(DataType type);
 /// indirection and an inline std::string payload (40 bytes per value,
 /// most of them padding for the non-string case) are measurable there: at
 /// 16 bytes a whole row fits in one or two cache lines, which roughly
-/// halves the memory traffic of the vectorized join's build and probe
+/// halves the memory traffic of the batch join's build and probe
 /// loops. String payloads are immutable and live behind a refcounted rep,
 /// so copying a string value is a pointer plus refcount bump — cheaper
 /// than the SSO copy it replaces. The refcount is non-atomic because the
@@ -101,8 +101,7 @@ class Value {
   /// this one is free to be fast: fixed-width types mix their 8 payload
   /// bytes with a splitmix64 finalizer (3 multiplies, no byte-serial
   /// dependency chain) instead of FNV's 8-round loop. Strings hash their
-  /// bytes via Hash(). Equal values always agree, across both the scalar
-  /// and vectorized join paths.
+  /// bytes via Hash(). Equal values always agree.
   uint64_t JoinHash() const {
     if (type_ == DataType::kString) return Hash();
     uint64_t x = static_cast<uint64_t>(i_) +

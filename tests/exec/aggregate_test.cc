@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "exec/operators.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "sql/parser.h"
@@ -172,16 +173,24 @@ class HashAggregateOpTest : public ::testing::Test {
     agg_ = std::make_unique<HashAggregateOperator>(desc);
   }
 
-  Status Feed(const std::string& k, int64_t v, int bucket = 0) {
-    return agg_->Process(0, Tuple(schema_, {Value(k), Value(v)}), bucket,
-                         &ctx_);
+  /// Feeds one row as a one-row batch; ctx_.row_retained[0] then tells
+  /// whether it was absorbed into the aggregate's state.
+  Status Feed(const std::string& k, int64_t v, int bucket = 0,
+              int port = 0) {
+    TupleBatch in, out;
+    in.Append(Tuple(schema_, {Value(k), Value(v)}), bucket, 0);
+    ctx_.ResetForBatch(1);
+    return agg_->ProcessBatch(port, &in, &out, &ctx_);
   }
 
   std::map<std::string, Tuple> FinishAndIndex() {
-    ctx_.ResetForTuple();
-    EXPECT_TRUE(agg_->Finish(&ctx_).ok());
+    ctx_.ResetForBatch(0);
+    TupleBatch out;
+    EXPECT_TRUE(agg_->Finish(&out, &ctx_).ok());
     std::map<std::string, Tuple> by_key;
-    for (const Tuple& t : ctx_.out) by_key.emplace(t[0].AsString(), t);
+    for (size_t i = 0; i < out.size(); ++i) {
+      by_key.emplace(out.tuple(i)[0].AsString(), out.tuple(i));
+    }
     return by_key;
   }
 
@@ -194,7 +203,7 @@ TEST_F(HashAggregateOpTest, AccumulatesPerGroup) {
   ASSERT_TRUE(Feed("a", 10).ok());
   ASSERT_TRUE(Feed("a", 20).ok());
   ASSERT_TRUE(Feed("b", 5).ok());
-  EXPECT_TRUE(ctx_.retained);
+  EXPECT_EQ(ctx_.row_retained[0], 1);
   EXPECT_EQ(agg_->GroupCount(), 2u);
 
   auto rows = FinishAndIndex();
@@ -234,9 +243,7 @@ TEST_F(HashAggregateOpTest, FinishOnEmptyStateEmitsNothing) {
 }
 
 TEST_F(HashAggregateOpTest, InvalidPortRejected) {
-  EXPECT_TRUE(agg_->Process(1, Tuple(schema_, {Value("a"), Value(int64_t{1})}),
-                            0, &ctx_)
-                  .IsInvalidArgument());
+  EXPECT_TRUE(Feed("a", 1, 0, /*port=*/1).IsInvalidArgument());
 }
 
 // ---- End-to-end ---------------------------------------------------------------

@@ -7,13 +7,18 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
+#include "exec/operator_driver.h"
 #include "exec/operators.h"
+#include "grid/node.h"
+#include "sim/simulator.h"
 #include "storage/tuple_batch.h"
 
 namespace gqp {
@@ -26,15 +31,6 @@ SchemaPtr SeqSchema() {
 
 Tuple SeqRow(const std::string& orf, const std::string& seq) {
   return Tuple(SeqSchema(), {Value(orf), Value(seq)});
-}
-
-std::unique_ptr<FilterOperator> MakeFilter(const std::string& keep_orf) {
-  PhysOpDesc desc;
-  desc.kind = PhysOpKind::kFilter;
-  desc.predicate = Cmp(CompareOp::kEq, Col(0, "orf"), Lit(Value(keep_orf)));
-  desc.base_cost_ms = 0.1;
-  desc.cost_tag = "op:filter";
-  return std::make_unique<FilterOperator>(desc);
 }
 
 std::unique_ptr<HashJoinOperator> MakeJoin() {
@@ -52,38 +48,60 @@ std::unique_ptr<HashJoinOperator> MakeJoin() {
   return std::make_unique<HashJoinOperator>(desc);
 }
 
+/// A driver over a one-operator fragment (filter keeping `keep_orf`).
+struct FilterDriver {
+  explicit FilterDriver(const std::string& keep_orf) {
+    PhysOpDesc filter;
+    filter.kind = PhysOpKind::kFilter;
+    filter.predicate =
+        Cmp(CompareOp::kEq, Col(0, "orf"), Lit(Value(keep_orf)));
+    filter.base_cost_ms = 0.1;
+    filter.cost_tag = "op:filter";
+    plan.fragment.num_input_ports = 1;
+    plan.fragment.ops = {filter};
+    EXPECT_TRUE(driver.BuildAndOpen().ok());
+  }
+  Simulator sim;
+  GridNode node{&sim, 1, "evaluator0"};
+  FragmentStats stats;
+  FragmentInstancePlan plan;
+  OperatorDriver driver{&node, &plan, &stats, {}};
+};
+
 TEST(BatchEdgeTest, EmptyBatchChargesNothingEmitsNothing) {
-  auto filter = MakeFilter("A");
-  ExecContext ctx;
-  ctx.ResetForBatch(0);
-  TupleBatch in, out;
-  ASSERT_TRUE(filter->ProcessBatch(0, &in, &out, &ctx).ok());
-  EXPECT_EQ(out.size(), 0u);
-  // Scalar mode charges nothing for zero tuples; ChargeN must match.
-  EXPECT_TRUE(ctx.charges.empty());
-  EXPECT_EQ(ctx.ledger.TotalCount(), 0u);
+  FilterDriver f("A");
+  TupleBatch in;
+  ASSERT_TRUE(f.driver.RunBatch(0, &in).ok());
+  EXPECT_TRUE(f.driver.ctx()->out.empty());
+  // Zero rows cost nothing: no work-item part at all.
+  EXPECT_TRUE(f.driver.ctx()->charges.empty());
 
   auto join = MakeJoin();
+  ExecContext ctx;
+  ctx.ResetForBatch(0);
+  TupleBatch out;
   ASSERT_TRUE(join->ProcessBatch(0, &in, &out, &ctx).ok());
   ASSERT_TRUE(join->ProcessBatch(1, &in, &out, &ctx).ok());
-  EXPECT_TRUE(ctx.charges.empty());
+  EXPECT_EQ(out.size(), 0u);
+  EXPECT_TRUE(ctx.row_charges.empty());
 }
 
 TEST(BatchEdgeTest, AllRowsFilteredStillChargedPerRow) {
-  auto filter = MakeFilter("NOPE");
-  ExecContext ctx;
-  ctx.ResetForBatch(5);
-  TupleBatch in, out;
+  FilterDriver f("NOPE");
+  TupleBatch in;
   for (uint32_t i = 0; i < 5; ++i) {
     in.Append(SeqRow("ORF" + std::to_string(i), "acgt"), -1, i);
   }
-  ASSERT_TRUE(filter->ProcessBatch(0, &in, &out, &ctx).ok());
-  EXPECT_EQ(out.size(), 0u);
+  ASSERT_TRUE(f.driver.RunBatch(0, &in).ok());
+  EXPECT_TRUE(f.driver.ctx()->out.empty());
   // The predicate ran over every row even though none survived.
-  ASSERT_EQ(ctx.ledger.entries.size(), 1u);
-  EXPECT_EQ(ctx.ledger.entries[0].count, 5u);
+  using Charges = std::vector<std::pair<std::string_view, double>>;
+  EXPECT_EQ(f.driver.ctx()->charges, Charges(5, {"op:filter", 0.1}));
   // No row was absorbed into state: nothing is marked retained.
-  for (size_t i = 0; i < 5; ++i) EXPECT_EQ(ctx.row_retained[i], 0);
+  ASSERT_EQ(f.driver.ctx()->row_retained.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(f.driver.ctx()->row_retained[i], 0);
+  }
 }
 
 TEST(BatchEdgeTest, ProbeFanOutOverflowsInputBatchWidth) {
@@ -179,13 +197,15 @@ TEST(BatchEdgeTest, CompactKeepsSurvivorsInOrder) {
 
 // Freeze/thaw under batch stepping, end to end: these pinned seeds apply
 // full state-move rounds (freeze -> redirect -> purge -> resend -> thaw)
-// while every fragment steps batch-at-a-time, and every invariant —
+// while every fragment steps 16 rows at a time, and every invariant —
 // result multiset vs. the unperturbed oracle included — must still hold.
 // Seed 87 is the historical duplicate-build-insert scenario; it applied 8
 // rounds until batches charged per row (a node-wide sleep then costs every
 // row, not every batch) and applies 7 since. Seed 66 was added to keep an
 // 8-round pin: an evaluator crash mid-run makes its rounds race recovery
 // resends against in-flight batches too.
+constexpr size_t kPinBatchSize = 16;
+
 struct VecStateMovePin {
   uint64_t seed;
   uint64_t min_rounds_applied;
@@ -196,7 +216,7 @@ class VecStateMoveTest : public ::testing::TestWithParam<VecStateMovePin> {};
 TEST_P(VecStateMoveTest, RoundsApplyUnderBatchExecution) {
   const VecStateMovePin& pin = GetParam();
   chaos::ChaosScenario scenario = chaos::GenerateScenario(pin.seed);
-  scenario.vectorized = true;
+  scenario.vector_batch_size = kPinBatchSize;
   const chaos::ChaosRunResult result = chaos::RunScenario(scenario);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.ok()) << result.Report();
@@ -205,7 +225,8 @@ TEST_P(VecStateMoveTest, RoundsApplyUnderBatchExecution) {
   // change stops these seeds from moving state, the pin has gone stale
   // and a new seed must be chosen.
   EXPECT_GE(result.stats.rounds_applied, pin.min_rounds_applied)
-      << chaos::ReproCommand(pin.seed, chaos::ChaosProfile::kStandard, true);
+      << chaos::ReproCommand(pin.seed, chaos::ChaosProfile::kStandard,
+                             kPinBatchSize);
 }
 
 INSTANTIATE_TEST_SUITE_P(

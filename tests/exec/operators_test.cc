@@ -1,5 +1,10 @@
 #include "exec/operators.h"
 
+#include <set>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "plan/cost_model.h"
@@ -17,6 +22,20 @@ Tuple SeqRow(const std::string& orf, const std::string& seq) {
   return Tuple(SeqSchema(), {Value(orf), Value(seq)});
 }
 
+/// Runs `tuple` through `op` as a one-row batch (the executor's default
+/// batch size). Outputs are appended to ctx->out, and
+/// ctx->row_retained[0] tells whether the row was absorbed into operator
+/// state; charges accumulate in ctx->row_charges.
+Status RunRow(PhysicalOperator* op, int port, const Tuple& tuple, int bucket,
+              ExecContext* ctx) {
+  TupleBatch in, out;
+  in.Append(tuple, bucket, 0);
+  ctx->row_retained.assign(1, 0);
+  GQP_RETURN_IF_ERROR(op->ProcessBatch(port, &in, &out, ctx));
+  for (size_t i = 0; i < out.size(); ++i) ctx->out.push_back(out.TakeTuple(i));
+  return Status::OK();
+}
+
 TEST(OperatorFactoryTest, RejectsScan) {
   PhysOpDesc desc;
   desc.kind = PhysOpKind::kScan;
@@ -31,12 +50,12 @@ TEST(FilterOperatorTest, DropsNonMatching) {
   desc.cost_tag = "op:filter";
   FilterOperator filter(desc);
   ExecContext ctx;
-  ASSERT_TRUE(filter.Process(0, SeqRow("A", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(filter.Process(0, SeqRow("B", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&filter, 0, SeqRow("A", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&filter, 0, SeqRow("B", "x"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   EXPECT_EQ(ctx.out[0][0].AsString(), "A");
   // Cost charged for both evaluations.
-  EXPECT_EQ(ctx.charges.size(), 2u);
+  EXPECT_EQ(ctx.row_charges.size(), 2u);
 }
 
 TEST(ProjectOperatorTest, ComputesExpressions) {
@@ -47,7 +66,7 @@ TEST(ProjectOperatorTest, ComputesExpressions) {
       {{"len", DataType::kInt64}, {"orf", DataType::kString}});
   ProjectOperator project(desc);
   ExecContext ctx;
-  ASSERT_TRUE(project.Process(0, SeqRow("K", "abcde"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&project, 0, SeqRow("K", "abcde"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   EXPECT_EQ(ctx.out[0][0].AsInt64(), 5);
   EXPECT_EQ(ctx.out[0][1].AsString(), "K");
@@ -65,12 +84,12 @@ TEST(OperationCallOperatorTest, AppendsComputedColumn) {
                                 {"e", DataType::kDouble}});
   OperationCallOperator op(desc);
   ExecContext ctx;
-  ASSERT_TRUE(op.Process(0, SeqRow("K", "abab"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&op, 0, SeqRow("K", "abab"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   ASSERT_EQ(ctx.out[0].size(), 3u);
   EXPECT_DOUBLE_EQ(ctx.out[0][2].AsDouble(), 1.0);
-  ASSERT_EQ(ctx.charges.size(), 1u);
-  EXPECT_EQ(ctx.charges[0].first, "ws:EntropyAnalyser");
+  ASSERT_EQ(ctx.row_charges.size(), 1u);
+  EXPECT_EQ(ctx.row_charges[0].first, "ws:EntropyAnalyser");
 }
 
 TEST(OperationCallOperatorTest, BadArgColumnFails) {
@@ -80,7 +99,7 @@ TEST(OperationCallOperatorTest, BadArgColumnFails) {
   desc.arg_col = 9;
   OperationCallOperator op(desc);
   ExecContext ctx;
-  EXPECT_TRUE(op.Process(0, SeqRow("K", "x"), -1, &ctx).IsOutOfRange());
+  EXPECT_TRUE(RunRow(&op, 0, SeqRow("K", "x"), -1, &ctx).IsOutOfRange());
 }
 
 class HashJoinTest : public ::testing::Test {
@@ -113,85 +132,85 @@ class HashJoinTest : public ::testing::Test {
 };
 
 TEST_F(HashJoinTest, BuildRetainsTuples) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  EXPECT_TRUE(ctx_.retained);
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  EXPECT_EQ(ctx_.row_retained[0], 1);
   EXPECT_TRUE(ctx_.out.empty());
   EXPECT_EQ(join_->StateSize(), 1u);
   EXPECT_EQ(join_->StateSizeForBucket(3), 1u);
 }
 
 TEST_F(HashJoinTest, ProbeEmitsMatches) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   ASSERT_EQ(ctx_.out.size(), 1u);
   EXPECT_EQ(ctx_.out[0].size(), 4u);
   EXPECT_EQ(ctx_.out[0][0].AsString(), "A");
   EXPECT_EQ(ctx_.out[0][3].AsString(), "B");
-  EXPECT_FALSE(ctx_.retained);
+  EXPECT_EQ(ctx_.row_retained[0], 0);
 }
 
 TEST_F(HashJoinTest, ProbeMissEmitsNothing) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("Z", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("Z", "B"), 3, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, DuplicateBuildKeysAllMatch) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s2"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s2"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 2u);
 }
 
 TEST_F(HashJoinTest, ProbeOnlySeesOwnBucket) {
   // Equal keys always share a bucket in production; a mismatched bucket
   // (as after a partition purge) must find nothing.
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 4, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "B"), 4, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, PurgeBucketsDropsState) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("B", "s2"), 5, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("B", "s2"), 5, &ctx_).ok());
   join_->PurgeBuckets({3});
   EXPECT_EQ(join_->StateSize(), 1u);
   EXPECT_EQ(join_->StateSizeForBucket(3), 0u);
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "x"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "x"), 3, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, StateRebuildAfterPurge) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   join_->PurgeBuckets({3});
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   EXPECT_EQ(join_->duplicate_build_inserts(), 0u);
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 1u);
 }
 
 TEST_F(HashJoinTest, DuplicateInsertDetectorFires) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   EXPECT_EQ(join_->duplicate_build_inserts(), 1u);
 }
 
 TEST_F(HashJoinTest, NegativeBucketNormalizedToZero) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), -1, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), -1, &ctx_).ok());
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), -1, &ctx_).ok());
+  ctx_.ResetForBatch(1);
+  ASSERT_TRUE(RunRow(join_.get(), 1, ProbeRow("A", "B"), -1, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 1u);
 }
 
 TEST_F(HashJoinTest, InvalidPortFails) {
   EXPECT_TRUE(
-      join_->Process(2, SeqRow("A", "s"), 0, &ctx_).IsInvalidArgument());
+      RunRow(join_.get(), 2, SeqRow("A", "s"), 0, &ctx_).IsInvalidArgument());
 }
 
 TEST(CollectOperatorTest, AccumulatesResults) {
@@ -201,10 +220,27 @@ TEST(CollectOperatorTest, AccumulatesResults) {
   desc.cost_tag = "op:collect";
   CollectOperator collect(desc);
   ExecContext ctx;
-  ASSERT_TRUE(collect.Process(0, SeqRow("A", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(collect.Process(0, SeqRow("B", "y"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&collect, 0, SeqRow("A", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(RunRow(&collect, 0, SeqRow("B", "y"), -1, &ctx).ok());
   EXPECT_EQ(collect.results().size(), 2u);
   EXPECT_TRUE(ctx.out.empty());  // collect is a sink
+}
+
+TEST(CollectOperatorTest, OneRowBatchesGrowResultsGeometrically) {
+  // A sink fed one row at a time must not reallocate its result vector
+  // per batch (an exact-fit reserve per batch makes collection quadratic).
+  PhysOpDesc desc;
+  desc.kind = PhysOpKind::kCollect;
+  CollectOperator collect(desc);
+  ExecContext ctx;
+  std::set<size_t> capacities;
+  const Tuple row = SeqRow("A", "x");
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(RunRow(&collect, 0, row, -1, &ctx).ok());
+    capacities.insert(collect.results().capacity());
+  }
+  EXPECT_EQ(collect.results().size(), 100'000u);
+  EXPECT_LE(capacities.size(), 64u);
 }
 
 TEST(OperatorChainTest, EmitFlowsThroughChain) {
@@ -220,30 +256,44 @@ TEST(OperatorChainTest, EmitFlowsThroughChain) {
   project_desc.out_schema = MakeSchema({{"orf", DataType::kString}});
   ProjectOperator project(project_desc);
 
-  filter.set_next(&project);
+  // Each operator's output batch is the next one's input, exactly as the
+  // driver walks the chain; outputs keep their input row as origin.
+  TupleBatch in, mid, out;
+  in.Append(SeqRow("skip", "x"), -1, 0);
+  in.Append(SeqRow("keep", "x"), -1, 1);
   ExecContext ctx;
-  ASSERT_TRUE(filter.Process(0, SeqRow("keep", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(filter.Process(0, SeqRow("skip", "x"), -1, &ctx).ok());
-  ASSERT_EQ(ctx.out.size(), 1u);
-  EXPECT_EQ(ctx.out[0].size(), 1u);
+  ctx.ResetForBatch(in.size());
+  ASSERT_TRUE(filter.ProcessBatch(0, &in, &mid, &ctx).ok());
+  ASSERT_TRUE(project.ProcessBatch(0, &mid, &out, &ctx).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.tuple(0).size(), 1u);
+  EXPECT_EQ(out.tuple(0)[0].AsString(), "keep");
+  EXPECT_EQ(out.origin(0), 1u);
+  EXPECT_EQ(ctx.row_charges.size(), 2u);  // one unit per operator
 }
 
 TEST(ExecContextTest, ResetClearsPerTupleState) {
   ExecContext ctx;
-  ctx.Charge("a", 1.0);
-  ctx.retained = true;
+  ctx.ChargeN("a", 1.0, 2);
+  ctx.charges.emplace_back("a", 1.0);
+  ctx.row_retained.assign(2, 1);
   ctx.out.push_back(SeqRow("x", "y"));
-  ctx.ResetForTuple();
+  ctx.out_origin.push_back(0);
+  ctx.ResetForBatch(3);
   EXPECT_TRUE(ctx.charges.empty());
-  EXPECT_FALSE(ctx.retained);
+  EXPECT_TRUE(ctx.row_charges.empty());
   EXPECT_TRUE(ctx.out.empty());
+  EXPECT_TRUE(ctx.out_origin.empty());
+  EXPECT_EQ(ctx.row_retained, std::vector<unsigned char>(3, 0));
 }
 
-TEST(ExecContextTest, TotalBaseCostSums) {
+TEST(ExecContextTest, ChargeNRecordsOneUnitPerStep) {
   ExecContext ctx;
-  ctx.Charge("a", 1.5);
-  ctx.Charge("b", 2.5);
-  EXPECT_DOUBLE_EQ(ctx.TotalBaseCost(), 4.0);
+  ctx.ChargeN("a", 1.5, 3);
+  ctx.ChargeN("b", 2.5, 0);  // zero rows cost nothing
+  ctx.ChargeN("b", 2.5, 1);
+  using Charges = std::vector<std::pair<std::string_view, double>>;
+  EXPECT_EQ(ctx.row_charges, (Charges{{"a", 1.5}, {"b", 2.5}}));
 }
 
 }  // namespace

@@ -1,24 +1,25 @@
-// Scalar/vector differential harness (DESIGN.md §D13). Every operator is
-// driven over randomized inputs in both execution modes — the scalar
-// per-tuple Process chain and the batch-at-a-time ProcessBatch walk the
-// driver performs — and the two runs must agree exactly:
+// Batch-size differential harness (DESIGN.md §D13). Every operator chain
+// is driven through the OperatorDriver over randomized inputs once in
+// one-row batches — the executor's default, the paper's per-tuple
+// semantics — and again at wider batch sizes, and the runs must agree
+// exactly:
 //
 //   * byte-identical result sets (rendered rows, in emission order),
 //   * per-row identical retention decisions, and
-//   * bit-identical total charged cost via the ChargeLedger (integer
-//     counts per (tag, unit) pair; the totals are summed by the same
-//     sequence of floating-point operations in both modes, so EXPECT_EQ
-//     on the doubles is exact, not a tolerance check).
+//   * identical charge sequences: the concatenated per-batch
+//     ctx.charges of a wide run equal those of the one-row run part for
+//     part, so every sum over them is bit-identical too.
 //
-// Batch sizes cover the degenerate single-row batch, small primes that
-// force ragged final batches, the configured default, and a batch wider
+// Batch sizes cover the single-row reference, small primes that force
+// ragged final batches, the golden-trace width of 16, and a batch wider
 // than the whole input. Seeds are fixed: a red run is reproducible.
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +34,8 @@ namespace gqp {
 namespace {
 
 constexpr size_t kBatchSizes[] = {1, 3, 7, 16, 64, 4096};
+
+using Charges = std::vector<std::pair<std::string_view, double>>;
 
 SchemaPtr SeqSchema() {
   return MakeSchema(
@@ -72,51 +75,43 @@ std::vector<StreamRow> MakeSeqStream(uint64_t seed, size_t n, int port,
   return rows;
 }
 
-using Chain = std::vector<std::unique_ptr<PhysicalOperator>>;
+/// A fragment's operator chain behind an OperatorDriver, as the executor
+/// runs it (fresh state per instance: stateful operators cannot be shared
+/// between runs).
+struct ChainDriver {
+  ChainDriver(std::vector<PhysOpDesc> ops, int num_ports) {
+    plan.fragment.num_input_ports = num_ports;
+    plan.fragment.ops = std::move(ops);
+    EXPECT_TRUE(driver.BuildAndOpen().ok());
+  }
+  OperatorDriver* operator->() { return &driver; }
+
+  Simulator sim;
+  GridNode node{&sim, 1, "evaluator0"};
+  FragmentStats stats;
+  FragmentInstancePlan plan;
+  OperatorDriver driver{
+      &node, &plan, &stats,
+      {nullptr, [](const Status& s) { ADD_FAILURE() << s.ToString(); }}};
+};
 
 /// Everything a differential run observes: rendered outputs in emission
-/// order, per-input retention decisions in input order, and the
-/// cumulative charge ledger.
+/// order, per-input retention decisions in input order, the concatenated
+/// per-batch charges, and the rows a sink collected.
 struct RunTrace {
   std::vector<std::string> outputs;
   std::vector<bool> retained;
-  ChargeLedger ledger;
+  Charges charges;
+  std::vector<std::string> collected;
 };
 
-/// Reference semantics: the scalar per-tuple chain exactly as the
-/// executor drives it (Process chained through set_next, then Finish).
-RunTrace RunScalar(const Chain& ops, const std::vector<StreamRow>& rows,
-                   bool finish) {
-  for (size_t i = 0; i + 1 < ops.size(); ++i) {
-    ops[i]->set_next(ops[i + 1].get());
-  }
-  ExecContext ctx;
-  RunTrace trace;
-  for (const StreamRow& row : rows) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Process(row.port, row.tuple, row.bucket, &ctx).ok());
-    trace.retained.push_back(ctx.retained);
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
-  }
-  if (finish) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Finish(&ctx).ok());
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
-  }
-  trace.ledger = ctx.ledger;
-  return trace;
-}
-
-/// Batch semantics: slices the stream into port-homogeneous batches of at
-/// most `batch_size` rows (ragged final slice included) and walks the
-/// chain the way OperatorDriver::RunChainBatch does — ping-ponging two
-/// scratch batches, no Emit chaining.
-RunTrace RunVectorized(const Chain& ops, const std::vector<StreamRow>& rows,
-                       size_t batch_size, bool finish) {
-  for (size_t i = 0; i + 1 < ops.size(); ++i) {
-    ops[i]->set_next(ops[i + 1].get());
-  }
-  ExecContext ctx;
+/// Slices the stream into port-homogeneous batches of at most
+/// `batch_size` rows (ragged final slice included) and runs each through
+/// the driver, then (optionally) finishes the chain.
+RunTrace RunChain(const std::vector<PhysOpDesc>& ops,
+                  const std::vector<StreamRow>& rows, size_t batch_size,
+                  bool finish) {
+  ChainDriver driver(ops, /*num_ports=*/2);
   RunTrace trace;
   size_t pos = 0;
   while (pos < rows.size()) {
@@ -129,60 +124,47 @@ RunTrace RunVectorized(const Chain& ops, const std::vector<StreamRow>& rows,
       ++pos;
     }
     const size_t batch_rows = in.size();
-    ctx.ResetForBatch(batch_rows);
-    TupleBatch scratch_a, scratch_b;
-    TupleBatch* cur = &in;
-    TupleBatch* next = &scratch_a;
-    int step_port = port;
-    for (const auto& op : ops) {
-      next->Clear();
-      EXPECT_TRUE(op->ProcessBatch(step_port, cur, next, &ctx).ok());
-      TupleBatch* spent = cur == &in ? &scratch_b : cur;
-      cur = next;
-      next = spent;
-      step_port = 0;
-    }
-    for (size_t i = 0; i < cur->size(); ++i) {
-      trace.outputs.push_back(cur->tuple(i).ToString());
-    }
+    EXPECT_TRUE(driver->RunBatch(port, &in).ok());
+    const ExecContext& ctx = *driver->ctx();
+    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
     for (size_t i = 0; i < batch_rows; ++i) {
       trace.retained.push_back(ctx.row_retained[i] != 0);
     }
+    trace.charges.insert(trace.charges.end(), ctx.charges.begin(),
+                         ctx.charges.end());
   }
   if (finish) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Finish(&ctx).ok());
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
+    EXPECT_TRUE(driver->FinishChain());
+    for (const Tuple& t : driver->ctx()->out) {
+      trace.outputs.push_back(t.ToString());
+    }
   }
-  trace.ledger = ctx.ledger;
+  for (const Tuple& t : driver->Results()) {
+    trace.collected.push_back(t.ToString());
+  }
   return trace;
 }
 
-void ExpectTracesEqual(const RunTrace& scalar, const RunTrace& vec,
+/// Left fold of a charge sequence, the order a node sums work-item parts.
+double TotalMs(const Charges& charges) {
+  double total = 0.0;
+  for (const auto& [tag, ms] : charges) total += ms;
+  return total;
+}
+
+void ExpectTracesEqual(const RunTrace& one, const RunTrace& wide,
                        uint64_t seed, size_t batch_size) {
   const std::string where =
       "seed=" + std::to_string(seed) + " batch=" + std::to_string(batch_size);
-  ASSERT_EQ(scalar.outputs, vec.outputs) << where;
-  ASSERT_EQ(scalar.retained, vec.retained) << where;
-  ASSERT_EQ(scalar.ledger.entries.size(), vec.ledger.entries.size()) << where;
-  for (size_t i = 0; i < scalar.ledger.entries.size(); ++i) {
-    EXPECT_EQ(scalar.ledger.entries[i].tag, vec.ledger.entries[i].tag)
-        << where;
-    EXPECT_EQ(scalar.ledger.entries[i].unit_ms, vec.ledger.entries[i].unit_ms)
-        << where;
-    EXPECT_EQ(scalar.ledger.entries[i].count, vec.ledger.entries[i].count)
-        << where;
-  }
-  // Bit-identical, not approximately equal: both totals are the same
-  // float operations in the same order (DESIGN.md §D13).
-  EXPECT_EQ(scalar.ledger.TotalMs(), vec.ledger.TotalMs()) << where;
-  EXPECT_EQ(scalar.ledger.TotalCount(), vec.ledger.TotalCount()) << where;
+  ASSERT_EQ(one.outputs, wide.outputs) << where;
+  ASSERT_EQ(one.retained, wide.retained) << where;
+  ASSERT_EQ(one.collected, wide.collected) << where;
+  ASSERT_EQ(one.charges, wide.charges) << where;
 }
 
-// ---- Chain builders (fresh state per run: stateful operators cannot be
-// shared between the scalar and vectorized executions) -------------------
+// ---- Chain descriptors --------------------------------------------------
 
-Chain MakeFilterProjectOpcallChain(uint64_t seed) {
+std::vector<PhysOpDesc> FilterOpcallProjectChain(uint64_t seed) {
   // Vary the predicate threshold with the seed so selectivity ranges from
   // keep-almost-everything to drop-almost-everything.
   const int64_t min_len = 1 + static_cast<int64_t>(seed % 12);
@@ -214,11 +196,7 @@ Chain MakeFilterProjectOpcallChain(uint64_t seed) {
   project.base_cost_ms = 0.05;
   project.cost_tag = "op:project";
 
-  Chain ops;
-  ops.push_back(std::make_unique<FilterOperator>(filter));
-  ops.push_back(std::make_unique<OperationCallOperator>(opcall));
-  ops.push_back(std::make_unique<ProjectOperator>(project));
-  return ops;
+  return {filter, opcall, project};
 }
 
 PhysOpDesc JoinDesc() {
@@ -236,13 +214,7 @@ PhysOpDesc JoinDesc() {
   return join;
 }
 
-Chain MakeJoinChain() {
-  Chain ops;
-  ops.push_back(std::make_unique<HashJoinOperator>(JoinDesc()));
-  return ops;
-}
-
-Chain MakeAggregateChain() {
+std::vector<PhysOpDesc> AggregateChain() {
   PhysOpDesc agg;
   agg.kind = PhysOpKind::kHashAggregate;
   agg.group_exprs = {Col(0, "orf")};
@@ -266,19 +238,15 @@ Chain MakeAggregateChain() {
                                {"min", DataType::kString}});
   agg.base_cost_ms = 0.03;
   agg.cost_tag = "op:hash_aggregate";
-  Chain ops;
-  ops.push_back(std::make_unique<HashAggregateOperator>(agg));
-  return ops;
+  return {agg};
 }
 
-Chain MakeCollectChain() {
+std::vector<PhysOpDesc> CollectChain() {
   PhysOpDesc collect;
   collect.kind = PhysOpKind::kCollect;
   collect.base_cost_ms = 0.01;
   collect.cost_tag = "op:collect";
-  Chain ops;
-  ops.push_back(std::make_unique<CollectOperator>(collect));
-  return ops;
+  return {collect};
 }
 
 // ---- Differential sweeps ------------------------------------------------
@@ -287,12 +255,12 @@ TEST(VectorScalarDiffTest, FilterOpcallProjectChain) {
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed, 40 + seed % 37, /*port=*/0, /*num_buckets=*/0);
-    const RunTrace scalar =
-        RunScalar(MakeFilterProjectOpcallChain(seed), rows, /*finish=*/false);
+    const RunTrace one =
+        RunChain(FilterOpcallProjectChain(seed), rows, 1, /*finish=*/false);
     for (size_t batch : kBatchSizes) {
-      const RunTrace vec = RunVectorized(MakeFilterProjectOpcallChain(seed),
-                                         rows, batch, /*finish=*/false);
-      ExpectTracesEqual(scalar, vec, seed, batch);
+      const RunTrace wide =
+          RunChain(FilterOpcallProjectChain(seed), rows, batch, false);
+      ExpectTracesEqual(one, wide, seed, batch);
     }
   }
 }
@@ -318,11 +286,10 @@ TEST(VectorScalarDiffTest, JoinBuildThenProbe) {
     }
     rows.insert(rows.end(), probes.begin(), probes.end());
 
-    const RunTrace scalar = RunScalar(MakeJoinChain(), rows, /*finish=*/false);
+    const RunTrace one = RunChain({JoinDesc()}, rows, 1, /*finish=*/false);
     for (size_t batch : kBatchSizes) {
-      const RunTrace vec =
-          RunVectorized(MakeJoinChain(), rows, batch, /*finish=*/false);
-      ExpectTracesEqual(scalar, vec, seed, batch);
+      const RunTrace wide = RunChain({JoinDesc()}, rows, batch, false);
+      ExpectTracesEqual(one, wide, seed, batch);
     }
   }
 }
@@ -332,12 +299,11 @@ TEST(VectorScalarDiffTest, AggregateAccumulateAndFinish) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed + 1000, 45 + seed % 23, /*port=*/0,
                       /*num_buckets=*/3);
-    const RunTrace scalar =
-        RunScalar(MakeAggregateChain(), rows, /*finish=*/true);
+    const RunTrace one = RunChain(AggregateChain(), rows, 1, /*finish=*/true);
+    ASSERT_FALSE(one.outputs.empty());
     for (size_t batch : kBatchSizes) {
-      const RunTrace vec =
-          RunVectorized(MakeAggregateChain(), rows, batch, /*finish=*/true);
-      ExpectTracesEqual(scalar, vec, seed, batch);
+      const RunTrace wide = RunChain(AggregateChain(), rows, batch, true);
+      ExpectTracesEqual(one, wide, seed, batch);
     }
   }
 }
@@ -346,49 +312,37 @@ TEST(VectorScalarDiffTest, CollectSink) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed + 2000, 25 + seed, /*port=*/0, /*num_buckets=*/0);
-    // The sink swallows rows into results_ instead of emitting, so the
-    // differential check is on the collected rows plus the ledger.
-    Chain scalar_chain = MakeCollectChain();
-    Chain vec_chain = MakeCollectChain();
-    const RunTrace scalar = RunScalar(scalar_chain, rows, /*finish=*/false);
-    const RunTrace vec = RunVectorized(vec_chain, rows, 7, /*finish=*/false);
-    ExpectTracesEqual(scalar, vec, seed, 7);
-    const auto* scalar_sink =
-        static_cast<CollectOperator*>(scalar_chain[0].get());
-    const auto* vec_sink = static_cast<CollectOperator*>(vec_chain[0].get());
-    ASSERT_EQ(scalar_sink->results().size(), vec_sink->results().size());
-    for (size_t i = 0; i < scalar_sink->results().size(); ++i) {
-      EXPECT_EQ(scalar_sink->results()[i].ToString(),
-                vec_sink->results()[i].ToString());
-    }
+    // The sink swallows rows into its results instead of emitting, so the
+    // differential check is on the collected rows plus the charges.
+    const RunTrace one = RunChain(CollectChain(), rows, 1, /*finish=*/false);
+    ASSERT_EQ(one.collected.size(), rows.size());
+    ExpectTracesEqual(one, RunChain(CollectChain(), rows, 7, false), seed, 7);
   }
 }
 
-// Satellite: exact per-batch charge accounting. The ledger total must be
-// bit-identical across every batch size — not within an epsilon — because
-// per-batch parts are charged as (unit, count) and only multiplied out in
-// one canonical entry order.
+// The total charged cost must be bit-identical across batch sizes — not
+// within an epsilon — because every batch size charges the same parts in
+// the same order.
 TEST(VectorScalarDiffTest, ChargeTotalsBitIdenticalAcrossBatchSizes) {
   const std::vector<StreamRow> rows =
       MakeSeqStream(77, 333, /*port=*/0, /*num_buckets=*/0);
-  const RunTrace scalar =
-      RunScalar(MakeFilterProjectOpcallChain(77), rows, /*finish=*/false);
-  const double canonical = scalar.ledger.TotalMs();
+  const RunTrace one =
+      RunChain(FilterOpcallProjectChain(77), rows, 1, /*finish=*/false);
+  const double canonical = TotalMs(one.charges);
   ASSERT_GT(canonical, 0.0);
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
-    const RunTrace vec = RunVectorized(MakeFilterProjectOpcallChain(77), rows,
-                                       batch, /*finish=*/false);
-    EXPECT_EQ(vec.ledger.TotalMs(), canonical) << "batch=" << batch;
-    EXPECT_EQ(vec.ledger.TotalCount(), scalar.ledger.TotalCount())
-        << "batch=" << batch;
+  for (size_t batch : {size_t{7}, size_t{64}, size_t{1024}}) {
+    const RunTrace wide =
+        RunChain(FilterOpcallProjectChain(77), rows, batch, /*finish=*/false);
+    EXPECT_EQ(TotalMs(wide.charges), canonical) << "batch=" << batch;
+    EXPECT_EQ(wide.charges.size(), one.charges.size()) << "batch=" << batch;
   }
 }
 
-// The driver charges a batch exactly as the scalar path charges the same
-// rows one tuple at a time: each input row, then depth first through every
-// row derived from it. A join fan-out followed by two charging operators
-// is where any other order (say, operator by operator) would differ, and
-// with it the floating-point sum of a work item.
+// The driver charges a batch exactly as it charges the same rows one at a
+// time: each input row, then depth first through every row derived from
+// it. A join fan-out followed by two charging operators is where any other
+// order (say, operator by operator) would differ, and with it the
+// floating-point sum of a work item.
 TEST(VectorScalarDiffTest, BatchChargesFollowScalarOrder) {
   PhysOpDesc filter;
   filter.kind = PhysOpKind::kFilter;
@@ -403,42 +357,36 @@ TEST(VectorScalarDiffTest, BatchChargesFollowScalarOrder) {
       {{"orf", DataType::kString}, {"sequence_p", DataType::kString}});
   project.base_cost_ms = 0.07;
   project.cost_tag = "op:project";
+  const std::vector<PhysOpDesc> ops = {JoinDesc(), filter, project};
 
-  FragmentInstancePlan plan;
-  plan.fragment.num_input_ports = 2;
-  plan.fragment.ops = {JoinDesc(), filter, project};
-  Simulator sim;
-  GridNode node(&sim, 2, "evaluator0");
-  FragmentStats stats;
   const std::vector<StreamRow> build =
       MakeSeqStream(7, 60, /*port=*/0, /*num_buckets=*/0);
   const std::vector<StreamRow> probe =
       MakeSeqStream(8, 40, /*port=*/1, /*num_buckets=*/0);
-
-  using Charges = std::vector<std::pair<std::string_view, double>>;
-  OperatorDriver scalar(&node, &plan, &stats, {});
-  ASSERT_TRUE(scalar.BuildAndOpen().ok());
-  for (const StreamRow& row : build) {
-    ASSERT_TRUE(scalar.RunTuple(0, row.tuple, row.bucket).ok());
+  TupleBatch build_batch;
+  for (size_t i = 0; i < build.size(); ++i) {
+    build_batch.Append(build[i].tuple, build[i].bucket,
+                       static_cast<uint32_t>(i));
   }
+
+  ChainDriver one(ops, 2);
+  TupleBatch build_copy = build_batch;
+  ASSERT_TRUE(one->RunBatch(0, &build_copy).ok());
   std::vector<Charges> per_probe;
   size_t fan_out_rows = 0;
   for (const StreamRow& row : probe) {
-    ASSERT_TRUE(scalar.RunTuple(1, row.tuple, row.bucket).ok());
-    per_probe.push_back(scalar.ctx()->charges);
-    if (scalar.ctx()->out.size() > 1) ++fan_out_rows;
+    TupleBatch in;
+    in.Append(row.tuple, row.bucket, 0);
+    ASSERT_TRUE(one->RunBatch(1, &in).ok());
+    per_probe.push_back(one->ctx()->charges);
+    if (one->ctx()->out.size() > 1) ++fan_out_rows;
   }
   ASSERT_GT(fan_out_rows, 0u) << "the probe stream must fan out";
 
   for (size_t batch : kBatchSizes) {
-    OperatorDriver vec(&node, &plan, &stats, {});
-    ASSERT_TRUE(vec.BuildAndOpen().ok());
-    TupleBatch build_batch;
-    for (size_t i = 0; i < build.size(); ++i) {
-      build_batch.Append(build[i].tuple, build[i].bucket,
-                         static_cast<uint32_t>(i));
-    }
-    ASSERT_TRUE(vec.RunBatch(0, &build_batch).ok());
+    ChainDriver wide(ops, 2);
+    build_copy = build_batch;
+    ASSERT_TRUE(wide->RunBatch(0, &build_copy).ok());
     for (size_t pos = 0; pos < probe.size(); pos += batch) {
       const size_t end = std::min(probe.size(), pos + batch);
       TupleBatch in;
@@ -449,8 +397,8 @@ TEST(VectorScalarDiffTest, BatchChargesFollowScalarOrder) {
         expected.insert(expected.end(), per_probe[i].begin(),
                         per_probe[i].end());
       }
-      ASSERT_TRUE(vec.RunBatch(1, &in).ok());
-      EXPECT_EQ(vec.ctx()->charges, expected)
+      ASSERT_TRUE(wide->RunBatch(1, &in).ok());
+      EXPECT_EQ(wide->ctx()->charges, expected)
           << "batch=" << batch << " first row=" << pos;
     }
   }
