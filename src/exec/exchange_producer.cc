@@ -149,7 +149,6 @@ void ExchangeProducer::OnAck(const AckPayload& ack) {
     }
   }
   log_.AckBatch(ack.seqs());
-  for (const uint64_t seq : ack.seqs()) claimed_by_.erase(seq);
   if (hooks_.on_acked) hooks_.on_acked(ack.seqs());
 }
 
@@ -228,6 +227,7 @@ Status ExchangeProducer::HandleRedistribute(
   InFlightRound round;
   round.id = request.round();
   round.recall_before_seq = next_seq_;
+  round.claim = ++rounds_opened_;
   // From here on every tuple is routed by the new map; stamp outgoing
   // batches so a consumer whose StateMoveRequest processing lags (it may
   // defer mid-tuple) cannot purge them — they are exactly the tuples the
@@ -373,18 +373,14 @@ Status ExchangeProducer::HandleStateMoveReply(
   // processed set is empty and resends to survivors.
   if (dead_consumers_.count(idx) > 0) return Status::OK();
   round_->awaiting_reply.erase(idx);
-  for (const uint64_t seq : reply.processed_seqs()) {
-    round_->processed.insert(seq);
-    // Sticky claim: the consumer's outputs hold this record's results as
-    // long as it lives, so later rounds must not resend it either — even
-    // ones that do not consult this consumer (e.g. its bucket moved on).
-    claimed_by_[seq] = idx;
-  }
+  // Processed claims are sticky: the consumer's outputs hold the results
+  // as long as it lives, so later rounds must not resend those records
+  // either, even ones that do not consult it (e.g. its bucket moved on).
   // Retained (state-resident) claims are only as durable as the bucket
-  // ownership: they suppress resending for this round only.
-  for (const uint64_t seq : reply.retained_seqs()) {
-    round_->processed.insert(seq);
-  }
+  // ownership: they suppress resending for this round only. Both lists
+  // arrive sorted, so each is one ordered walk over the log.
+  log_.Claim(reply.processed_seqs(), round_->claim, idx);
+  log_.Claim(reply.retained_seqs(), round_->claim, /*consumer=*/-1);
   if (round_->awaiting_reply.empty()) return CompleteRound();
   return Status::OK();
 }
@@ -431,12 +427,11 @@ Status ExchangeProducer::CompleteRound() {
   std::vector<LogRecord> recalled = log_.Extract(
       [this, &round, &moved_buckets](const LogRecord& rec) {
         if (rec.seq >= round.recall_before_seq) return false;
-        if (round.processed.count(rec.seq) > 0) return false;
+        // A reply of this round claimed it (processed or retained).
+        if (rec.round_claim == round.claim) return false;
         // A surviving consumer claimed this record in an earlier round:
         // its outputs still hold the results.
-        const auto claim = claimed_by_.find(rec.seq);
-        if (claim != claimed_by_.end() &&
-            dead_consumers_.count(claim->second) == 0) {
+        if (rec.claimed_by >= 0 && dead_consumers_.count(rec.claimed_by) == 0) {
           return false;
         }
         if (round.purge_all || round.recovery) return true;
@@ -454,7 +449,7 @@ Status ExchangeProducer::CompleteRound() {
   const double extract_cost =
       static_cast<double>(recalled.size()) * config_.log_extract_cost_ms;
   if (extract_cost > 0) hooks_.submit_work(extract_cost, nullptr);
-  if (!recalled.empty()) {
+  if (!recalled.empty() && Logger::Enabled(LogLevel::kDebug)) {
     std::string seqs;
     for (const LogRecord& rec : recalled) seqs += StrCat(" ", rec.seq);
     GQP_LOG_DEBUG << "producer " << self_.ToString() << " round " << round.id

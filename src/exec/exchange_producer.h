@@ -11,8 +11,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/distribution_policy.h"
@@ -180,8 +178,10 @@ class ExchangeProducer {
     bool recovery = false;
     /// Consumers whose StateMoveReply is still outstanding.
     std::set<int> awaiting_reply;
-    /// Processed seqs reported by consumers (must not be resent).
-    std::unordered_set<uint64_t> processed;
+    /// Producer-local round number stamped into LogRecord::round_claim by
+    /// this round's replies. Round ids come from the Responder, which a
+    /// coordinator failover restarts, so they cannot key the claims.
+    uint64_t claim = 0;
   };
 
   /// Flushes consumer `idx`'s buffer as one TupleBatch message.
@@ -222,12 +222,8 @@ class ExchangeProducer {
   std::optional<InFlightRound> round_;
   /// Crashed consumers: never routed to, never flushed to, never awaited.
   std::set<int> dead_consumers_;
-  /// Sticky processed claims from state-move replies: seq -> consumer
-  /// index whose outputs hold the record's results. Valid while that
-  /// consumer lives; recall skips claimed records so a bucket that moves
-  /// on (possibly to a consumer never asked about the seq) cannot cause a
-  /// resend and a duplicate. Pruned as acknowledgments arrive.
-  std::unordered_map<uint64_t, int> claimed_by_;
+  /// R1 rounds opened here (the last InFlightRound::claim handed out).
+  uint64_t rounds_opened_ = 0;
   ProducerStats stats_;
 };
 

@@ -174,8 +174,11 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
     for (size_t i = 0; i < n; ++i) {
       const Tuple& tuple = in->tuple(i);
       const size_t bucket = BucketIndex(in->bucket(i));
-      if (state_[bucket].Insert(hash_scratch_[i], tuple)) {
-        ++duplicate_build_inserts_;
+      // Only the first duplicate is logged: inputs with duplicate rows
+      // would otherwise log once per row on the hot path. The counter
+      // still sees every one.
+      if (state_[bucket].Insert(hash_scratch_[i], tuple) &&
+          ++duplicate_build_inserts_ == 1) {
         GQP_LOG_WARN << "hash join: duplicate build insert, key="
                      << tuple.at(build_key_).ToString()
                      << " bucket=" << bucket;

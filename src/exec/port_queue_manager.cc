@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/strings.h"
 #include "monitor/monitoring_events.h"
 
 namespace gqp {
@@ -118,14 +117,18 @@ void PortQueueManager::ParkBlocked(
 void PortQueueManager::Unpark(
     const std::function<bool(int bucket)>& still_blocked) {
   for (Port& port : ports_) {
-    for (auto it = port.parked.begin(); it != port.parked.end();) {
+    // One stable compaction pass: runnable tuples move to the queue in
+    // parked order, the still-blocked ones close ranks behind `kept`.
+    auto kept = port.parked.begin();
+    for (auto it = port.parked.begin(); it != port.parked.end(); ++it) {
       if (!still_blocked(it->rt.bucket)) {
         port.queue.push_back(std::move(*it));
-        it = port.parked.erase(it);
       } else {
-        ++it;
+        if (kept != it) *kept = std::move(*it);
+        ++kept;
       }
     }
+    port.parked.erase(kept, port.parked.end());
   }
 }
 
@@ -135,25 +138,27 @@ PortQueueManager::PurgeResult PortQueueManager::Purge(
   Port& port = ports_[static_cast<size_t>(port_idx)];
   PurgeResult result;
   auto purge = [&](std::deque<QueuedTuple>* q) {
-    for (auto it = q->begin(); it != q->end();) {
-      const bool mine = it->producer_key == key;
-      // Batches stamped with this round (or a later one) were routed
-      // under its new map AFTER the producer froze its recall watermark:
-      // the producer will never resend them, so purging them here would
-      // lose them outright. They slip in when this request's dispatch was
-      // deferred behind a slow in-flight tuple.
-      const bool in_scope =
-          it->round < round &&
-          (unconditional || BucketInList(it->rt.bucket, buckets_lost));
-      if (mine && in_scope) {
-        ++result.discarded;
-        result.credit_bytes += it->wire_bytes;
-        result.seqs += StrCat(" ", it->rt.seq);
-        it = q->erase(it);
-      } else {
-        ++it;
-      }
-    }
+    q->erase(
+        std::remove_if(
+            q->begin(), q->end(),
+            [&](const QueuedTuple& qt) {
+              // Batches stamped with this round (or a later one) were
+              // routed under its new map AFTER the producer froze its
+              // recall watermark: the producer will never resend them, so
+              // purging them here would lose them outright. They slip in
+              // when this request's dispatch was deferred behind a slow
+              // in-flight tuple.
+              const bool in_scope =
+                  qt.round < round &&
+                  (unconditional ||
+                   BucketInList(qt.rt.bucket, buckets_lost));
+              if (qt.producer_key != key || !in_scope) return false;
+              ++result.discarded;
+              result.credit_bytes += qt.wire_bytes;
+              result.seqs.push_back(qt.rt.seq);
+              return true;
+            }),
+        q->end());
   };
   purge(&port.queue);
   purge(&port.parked);

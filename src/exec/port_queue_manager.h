@@ -50,8 +50,9 @@ class PortQueueManager {
   struct PurgeResult {
     uint64_t discarded = 0;
     uint64_t credit_bytes = 0;
-    /// " seq seq ..." for the discard debug log.
-    std::string seqs;
+    /// Discarded seqs in queue order (queued, then parked), for the
+    /// discard debug log.
+    std::vector<uint64_t> seqs;
   };
 
   PortQueueManager(GridNode* node, Simulator* simulator,
@@ -91,12 +92,14 @@ class PortQueueManager {
   /// Moves blocked front tuples to the parked queue until the front is
   /// runnable or the queue drains.
   void ParkBlocked(int port, const std::function<bool(int bucket)>& blocked);
-  /// Re-queues parked tuples whose bucket became runnable again.
+  /// Re-queues parked tuples whose bucket became runnable again, in
+  /// parked order; the tuples left parked keep their order too.
   void Unpark(const std::function<bool(int bucket)>& still_blocked);
 
   /// Removes unprocessed tuples of `key` below `round` on the port —
   /// every bucket when `unconditional` (purge_all/recovery), else only
-  /// `buckets_lost`. The caller releases the returned credit bytes.
+  /// `buckets_lost`. Survivors keep their order. The caller releases the
+  /// returned credit bytes.
   PurgeResult Purge(int port, const std::string& key, uint64_t round,
                     bool unconditional, const std::vector<int>& buckets_lost);
 

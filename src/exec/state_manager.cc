@@ -46,7 +46,7 @@ void StateManager::RecordProcessed(int port, const std::string& key,
     it->second.retained_unacked.push_back(Entry::RetainedInput{seq, bucket});
     return;
   }
-  it->second.processed.insert(seq);
+  it->second.processed.push_back(seq);
   if (output_seqs.empty() || !has_producer) {
     AckInput(port, key, seq, finished);
     return;
@@ -165,8 +165,9 @@ void StateManager::ApplyStateMove(const StateMoveRequestPayload& request,
   queues->ReleaseCredit(port, key, purged.credit_bytes);
   if (purged.discarded > 0) {
     GQP_LOG_DEBUG << "fragment " << self_.ToString() << " round "
-                  << request.round() << ": discarded" << purged.seqs
-                  << " from " << key << " (producer will resend)";
+                  << request.round() << ": discarded "
+                  << StrJoin(purged.seqs, " ") << " from " << key
+                  << " (producer will resend)";
   }
   stats_->tuples_discarded_in_moves += purged.discarded;
   if (purged.discarded > 0) {
@@ -282,16 +283,32 @@ void StateManager::PruneRetained(int port, const std::string& key,
       retained.end());
 }
 
+namespace {
+
+/// Sorts `seqs[sorted:]` and merges it into the ascending, duplicate-free
+/// prefix `seqs[:sorted]`, dropping duplicates. Returns the new length.
+size_t SortTail(std::vector<uint64_t>* seqs, size_t sorted) {
+  if (sorted == seqs->size()) return sorted;
+  const auto mid = seqs->begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::sort(mid, seqs->end());
+  std::inplace_merge(seqs->begin(), mid, seqs->end());
+  seqs->erase(std::unique(seqs->begin(), seqs->end()), seqs->end());
+  return seqs->size();
+}
+
+}  // namespace
+
 void StateManager::BuildReply(int port, const std::string& key,
                               const std::vector<int>& buckets_lost,
                               std::vector<uint64_t>* processed,
-                              std::vector<uint64_t>* retained) const {
-  const auto& producers = ports_[static_cast<size_t>(port)];
+                              std::vector<uint64_t>* retained) {
+  auto& producers = ports_[static_cast<size_t>(port)];
   auto it = producers.find(key);
   if (it == producers.end()) return;
-  processed->assign(it->second.processed.begin(), it->second.processed.end());
-  std::sort(processed->begin(), processed->end());
-  for (const Entry::RetainedInput& r : it->second.retained_unacked) {
+  Entry& entry = it->second;
+  entry.processed_sorted = SortTail(&entry.processed, entry.processed_sorted);
+  *processed = entry.processed;
+  for (const Entry::RetainedInput& r : entry.retained_unacked) {
     if (!BucketInList(r.bucket, buckets_lost)) {
       retained->push_back(r.seq);
     }
@@ -304,8 +321,9 @@ StateManager::ProcessedSeqs(int port) const {
   std::unordered_map<std::string, std::vector<uint64_t>> out;
   if (port < 0 || static_cast<size_t>(port) >= ports_.size()) return out;
   for (const auto& [key, entry] : ports_[static_cast<size_t>(port)]) {
-    out[key] = std::vector<uint64_t>(entry.processed.begin(),
-                                     entry.processed.end());
+    std::vector<uint64_t> seqs = entry.processed;
+    SortTail(&seqs, entry.processed_sorted);
+    out[key] = std::move(seqs);
   }
   return out;
 }

@@ -131,11 +131,13 @@ class StateManager {
   void PruneRetained(int port, const std::string& key,
                      const std::vector<int>& buckets_lost);
   /// Sorted processed seqs + sorted retained seqs of kept buckets, for a
-  /// StateMoveReply (nothing this consumer holds may be resent).
+  /// StateMoveReply (nothing this consumer holds may be resent). Sorts
+  /// only the processed seqs recorded since the previous reply and merges
+  /// them into the already-sorted prefix.
   void BuildReply(int port, const std::string& key,
                   const std::vector<int>& buckets_lost,
                   std::vector<uint64_t>* processed,
-                  std::vector<uint64_t>* retained) const;
+                  std::vector<uint64_t>* retained);
 
   // --- introspection ----------------------------------------------------
   std::unordered_map<std::string, std::vector<uint64_t>> ProcessedSeqs(
@@ -149,8 +151,11 @@ class StateManager {
     Address address;
     std::unique_ptr<AckBatcher> acks;
     /// Every seq of this producer whose processing completed here (never
-    /// resent by state moves).
-    std::unordered_set<uint64_t> processed;
+    /// resent by state moves), append-only. The first `processed_sorted`
+    /// entries are ascending and duplicate-free; the tail after them is in
+    /// processing order and may repeat seqs (resends processed again).
+    std::vector<uint64_t> processed;
+    size_t processed_sorted = 0;
     /// A state-resident (retained) input and the bucket its state lives
     /// in: it stays "needed" until the fragment has finished AND all of
     /// its outputs are acknowledged downstream — until then it is the

@@ -46,6 +46,29 @@ std::vector<LogRecord> RecoveryLog::ExtractAll() {
   return Extract([](const LogRecord&) { return true; });
 }
 
+void RecoveryLog::Reinsert(LogRecord record) {
+  record.claimed_by = -1;
+  record.round_claim = 0;
+  Append(std::move(record));
+}
+
+void RecoveryLog::Claim(const std::vector<uint64_t>& seqs, uint64_t round,
+                        int consumer) {
+  if (records_.empty()) return;
+  auto rec = records_.begin();
+  // Most of a reply names long-acknowledged history below the oldest
+  // record; skip it with one binary search.
+  for (auto s = std::lower_bound(seqs.begin(), seqs.end(), rec->first);
+       s != seqs.end(); ++s) {
+    while (rec->first < *s) {
+      if (++rec == records_.end()) return;
+    }
+    if (rec->first != *s) continue;
+    rec->second.round_claim = round;
+    if (consumer >= 0) rec->second.claimed_by = consumer;
+  }
+}
+
 std::vector<uint64_t> RecoveryLog::PendingSeqs() const {
   std::vector<uint64_t> seqs;
   seqs.reserve(records_.size());

@@ -28,6 +28,16 @@ struct LogRecord {
   /// Consumer index the tuple was sent to.
   int consumer = -1;
   Tuple tuple;
+  /// Sticky processed claim: the consumer whose StateMoveReply reported
+  /// this record processed, or -1. Its outputs hold the record's results
+  /// while it lives, so no later round recalls the record, not even a
+  /// round that does not consult that consumer (its bucket moved on).
+  int claimed_by = -1;
+  /// Per-round claim: the producer-local number of the round whose reply
+  /// reported this record processed or retained, or 0. Retained claims
+  /// are only as durable as bucket ownership, so this suppresses recall
+  /// in that round only.
+  uint64_t round_claim = 0;
 };
 
 /// Aggregate counters for overhead reporting.
@@ -67,13 +77,28 @@ class RecoveryLog {
   /// unprocessed tuples).
   std::vector<LogRecord> ExtractAll();
 
+  /// \brief Marks the records a StateMoveReply names, in one ordered walk.
+  ///
+  /// `seqs` must be ascending. Each named record still in the log gets
+  /// `round_claim = round` and, when `consumer >= 0` (a processed claim),
+  /// `claimed_by = consumer`. Seqs no longer in the log were acknowledged
+  /// and are skipped. The walk starts at the oldest record, so its cost is
+  /// the named seqs from there on plus the records up to the last of them.
+  void Claim(const std::vector<uint64_t>& seqs, uint64_t round, int consumer);
+
   /// Re-inserts a record after re-routing (it is still unacknowledged, now
-  /// owned by a different consumer).
-  void Reinsert(LogRecord record) { Append(std::move(record)); }
+  /// owned by a different consumer). It comes back unclaimed: no consumer
+  /// has reported processing it under its new routing.
+  void Reinsert(LogRecord record);
 
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   bool Contains(uint64_t seq) const { return records_.count(seq) > 0; }
+  /// The record of `seq`, or null when it is not in the log.
+  const LogRecord* Find(uint64_t seq) const {
+    const auto it = records_.find(seq);
+    return it == records_.end() ? nullptr : &it->second;
+  }
   const RecoveryLogStats& stats() const { return stats_; }
 
   /// Sequence numbers still unacknowledged, ascending. A query that ran to

@@ -258,6 +258,83 @@ TEST(ExchangeProducerTest, DeadConsumerRecoveredWithoutReply) {
   }
 }
 
+/// Completes a purge_all round on a two-consumer round-robin producer
+/// with the given replies; every resend goes to consumer 0.
+void RunRound(Harness* h, uint64_t round, std::vector<uint64_t> processed0,
+              std::vector<uint64_t> retained0,
+              std::vector<uint64_t> processed1 = {}) {
+  RedistributeRequestPayload request(round, 2, {1.0, 0.0}, true);
+  ASSERT_TRUE(h->producer->HandleRedistribute(request).ok());
+  ASSERT_TRUE(h->producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      round, 7, SubplanId{1, 2, 0}, std::move(processed0),
+                      std::move(retained0), 0))
+                  .ok());
+  ASSERT_TRUE(h->producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      round, 7, SubplanId{1, 2, 1}, std::move(processed1), {},
+                      0))
+                  .ok());
+  ASSERT_FALSE(h->producer->round_in_flight());
+}
+
+TEST(ExchangeProducerTest, ReplyNamingAckedSeqsMarksNothing) {
+  Harness h(PolicyKind::kWeightedRoundRobin);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(h.producer->Offer(KeyTuple("k")).ok());
+  }
+  h.producer->OnAck(AckPayload(7, SubplanId{1, 2, 1}, {2}));
+  // A reply still names acked seq 2 (processed sets never shrink); it
+  // must not claim seq 3, the record after it.
+  RunRound(&h, 1, /*processed0=*/{2, 4}, /*retained0=*/{});
+  EXPECT_EQ(h.producer->stats().resent_tuples, 4u);  // 1, 3, 5, 6
+  EXPECT_EQ(h.producer->log().Find(2), nullptr);
+  EXPECT_EQ(h.producer->log().Find(4)->claimed_by, 0);
+  // Recalled and re-routed records come back unclaimed.
+  for (const uint64_t seq : {1, 3, 5, 6}) {
+    ASSERT_NE(h.producer->log().Find(seq), nullptr) << seq;
+    EXPECT_EQ(h.producer->log().Find(seq)->claimed_by, -1) << seq;
+    EXPECT_EQ(h.producer->log().Find(seq)->round_claim, 0u) << seq;
+  }
+}
+
+TEST(ExchangeProducerTest, ClaimOfDeadConsumerIsRecalled) {
+  Harness h(PolicyKind::kWeightedRoundRobin);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(h.producer->Offer(KeyTuple("k")).ok());
+  }
+  RunRound(&h, 1, /*processed0=*/{}, /*retained0=*/{}, /*processed1=*/{2});
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u);
+  EXPECT_EQ(h.producer->log().Find(2)->claimed_by, 1);
+
+  // Consumer 1 crashes: its claim no longer protects seq 2.
+  RedistributeRequestPayload recovery(2, 2, {1.0, 0.0}, true, {1});
+  ASSERT_TRUE(h.producer->HandleRedistribute(recovery).ok());
+  ASSERT_TRUE(h.producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      2, 7, SubplanId{1, 2, 0}, {}, {}, 0))
+                  .ok());
+  EXPECT_FALSE(h.producer->round_in_flight());
+  // All four records are recalled again: three unclaimed, one claimed by
+  // the dead consumer.
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u + 4u);
+  EXPECT_EQ(h.producer->log().Find(2)->claimed_by, -1);
+}
+
+TEST(ExchangeProducerTest, RetainedClaimSuppressesItsOwnRoundOnly) {
+  Harness h(PolicyKind::kWeightedRoundRobin);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(h.producer->Offer(KeyTuple("k")).ok());
+  }
+  RunRound(&h, 1, /*processed0=*/{}, /*retained0=*/{3});
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u);  // not seq 3
+  EXPECT_EQ(h.producer->log().Find(3)->claimed_by, -1);
+
+  // The next round's replies do not name seq 3: it is recalled now.
+  RunRound(&h, 2, /*processed0=*/{}, /*retained0=*/{});
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u + 4u);
+}
+
 TEST(ExchangeProducerTest, OnAckedHookFires) {
   OutputWiring wiring;
   wiring.desc.id = 1;

@@ -1,12 +1,14 @@
 #include "exec/operators.h"
 
 #include <set>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "plan/cost_model.h"
 #include "storage/datagen.h"
 
@@ -199,6 +201,21 @@ TEST_F(HashJoinTest, DuplicateInsertDetectorFires) {
   ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   EXPECT_EQ(join_->duplicate_build_inserts(), 1u);
+}
+
+TEST_F(HashJoinTest, OnlyFirstDuplicateInsertIsLogged) {
+  std::vector<std::string> warnings;
+  Logger::SetSink([&warnings](LogLevel level, const std::string& message) {
+    if (level == LogLevel::kWarn) warnings.push_back(message);
+  });
+  ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(RunRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  }
+  Logger::SetSink(nullptr);
+  EXPECT_EQ(join_->duplicate_build_inserts(), 3u);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("duplicate build insert"), std::string::npos);
 }
 
 TEST_F(HashJoinTest, NegativeBucketNormalizedToZero) {

@@ -219,14 +219,14 @@ TEST(PortQueueManagerTest, PurgeScopesByRoundBucketAndProducer) {
                                 /*buckets_lost=*/{1});
   EXPECT_EQ(result.discarded, 1u);
   EXPECT_EQ(result.credit_bytes, wb);
-  EXPECT_EQ(result.seqs, " 10");
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{10}));
   EXPECT_EQ(h.queues->QueuedTuples(0), 3u);
 
   // Unconditional purge (recovery) sweeps every remaining round-0 tuple
   // of the producer regardless of bucket.
   result = h.queues->Purge(0, "p", /*round=*/1, /*unconditional=*/true, {});
   EXPECT_EQ(result.discarded, 1u);
-  EXPECT_EQ(result.seqs, " 11");
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{11}));
   EXPECT_EQ(h.queues->QueuedTuples(0), 2u);
 }
 
@@ -247,6 +247,39 @@ TEST(PortQueueManagerTest, PurgeReachesParkedTuples) {
 
   h.queues->Unpark([](int) { return false; });
   EXPECT_EQ(h.queues->queue_size(0), 1u);
+}
+
+TEST(PortQueueManagerTest, PurgeAndUnparkKeepSurvivorOrder) {
+  Harness h;
+  h.queues->AddPort(1);
+  h.queues->RegisterProducer(0, "p", Address{1, "p"}, 7);
+
+  // Seqs 30..37; buckets 1, 2 and 4 are blocked, so the front five park
+  // and the queue starts at 35.
+  h.Enqueue(0, "p", 0,
+            {{"aa", 1}, {"aa", 2}, {"aa", 4}, {"aa", 1}, {"aa", 2},
+             {"aa", 3}, {"aa", 4}, {"aa", 1}},
+            /*first_seq=*/30);
+  h.queues->ParkBlocked(0, [](int b) { return b == 1 || b == 2 || b == 4; });
+  h.Enqueue(0, "p", 0, {{"aa", 2}, {"aa", 3}}, /*first_seq=*/38);
+  ASSERT_EQ(h.queues->parked_size(0), 5u);
+  ASSERT_EQ(h.queues->queue_size(0), 5u);
+
+  auto result = h.queues->Purge(0, "p", /*round=*/1, /*unconditional=*/false,
+                                /*buckets_lost=*/{2});
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{38, 31, 34}));
+
+  // Bucket 1 clears, bucket 4 stays blocked: 30 and 33 join the queue
+  // behind it in parked order, 32 stays parked.
+  h.queues->Unpark([](int b) { return b == 4; });
+  EXPECT_EQ(h.queues->parked_size(0), 1u);
+  h.queues->Unpark([](int) { return false; });
+
+  std::vector<uint64_t> order;
+  while (!h.queues->QueueEmpty(0)) {
+    order.push_back(h.queues->PopFront(0).rt.seq);
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{35, 36, 37, 39, 30, 33, 32}));
 }
 
 TEST(PortQueueManagerTest, PickRunnablePortDrainsEarlierPortsFirst) {

@@ -175,6 +175,31 @@ TEST(StateManagerTest, BuildReplySortsAndFiltersLostBuckets) {
   EXPECT_EQ(retained, (std::vector<uint64_t>{15}));
 }
 
+TEST(StateManagerTest, BuildReplyMergesOutOfOrderAndRepeatedSeqs) {
+  Harness h(/*checkpoint_interval=*/100);
+  // Resends may be processed again: seqs repeat and arrive out of order.
+  for (const uint64_t seq : {9, 3, 7, 3, 9}) h.Process(seq);
+  std::vector<uint64_t> processed;
+  std::vector<uint64_t> retained;
+  h.state->BuildReply(0, "p", {}, &processed, &retained);
+  EXPECT_EQ(processed, (std::vector<uint64_t>{3, 7, 9}));
+
+  // A second reply merges the new tail, repeats included, into the
+  // sorted prefix.
+  for (const uint64_t seq : {12, 5, 7, 1, 12}) h.Process(seq);
+  processed.clear();
+  h.state->BuildReply(0, "p", {}, &processed, &retained);
+  EXPECT_EQ(processed, (std::vector<uint64_t>{1, 3, 5, 7, 9, 12}));
+  EXPECT_TRUE(retained.empty());
+
+  // Introspection sees the not-yet-replied tail too, without duplicates
+  // (the chaos conservation check counts each seq once per consumer).
+  h.Process(4);
+  h.Process(3);
+  EXPECT_EQ(h.state->ProcessedSeqs(0).at("p"),
+            (std::vector<uint64_t>{1, 3, 4, 5, 7, 9, 12}));
+}
+
 TEST(StateManagerTest, RoundLifecycleGatesQuiescence) {
   Harness h;
   EXPECT_TRUE(h.state->quiescent());

@@ -124,6 +124,68 @@ TEST(RecoveryLogTest, ByteAccountingReclaimsOnExtractAndRechargesOnReinsert) {
   EXPECT_EQ(log.stats().bytes_peak, 2 * one);
 }
 
+TEST(RecoveryLogTest, ClaimSkipsAcknowledgedSeqs) {
+  RecoveryLog log;
+  for (uint64_t s = 1; s <= 6; ++s) log.Append({s, 0, 0, MakeTuple(1)});
+  log.AckBatch({1, 2, 4});
+  // A reply names every seq its consumer ever processed, many of them
+  // acknowledged, below the oldest record or between live ones: those
+  // mark nothing, not even a neighbour.
+  log.Claim({1, 2, 4}, /*round=*/1, /*consumer=*/0);
+  for (const uint64_t s : {3, 5, 6}) {
+    ASSERT_NE(log.Find(s), nullptr);
+    EXPECT_EQ(log.Find(s)->claimed_by, -1) << s;
+    EXPECT_EQ(log.Find(s)->round_claim, 0u) << s;
+  }
+  EXPECT_EQ(log.Find(4), nullptr);
+}
+
+TEST(RecoveryLogTest, ClaimMarksExactlyTheNamedRecords) {
+  RecoveryLog log;
+  for (const uint64_t s : {2, 4, 6, 8, 10}) {
+    log.Append({s, 0, 0, MakeTuple(1)});
+  }
+  // Interleaved with the log, below its first record and past its last.
+  log.Claim({1, 4, 5, 7, 10, 12}, /*round=*/3, /*consumer=*/1);
+  for (const uint64_t s : {2, 6, 8}) {
+    EXPECT_EQ(log.Find(s)->claimed_by, -1) << s;
+    EXPECT_EQ(log.Find(s)->round_claim, 0u) << s;
+  }
+  for (const uint64_t s : {4, 10}) {
+    EXPECT_EQ(log.Find(s)->claimed_by, 1) << s;
+    EXPECT_EQ(log.Find(s)->round_claim, 3u) << s;
+  }
+}
+
+TEST(RecoveryLogTest, RetainedClaimMarksTheRoundOnly) {
+  RecoveryLog log;
+  log.Append({1, 0, 0, MakeTuple(1)});
+  log.Append({2, 0, 0, MakeTuple(2)});
+  log.Claim({1}, /*round=*/1, /*consumer=*/0);
+  // A later round's retained-only claim moves the round mark but keeps
+  // the sticky processed claim.
+  log.Claim({1, 2}, /*round=*/2, /*consumer=*/-1);
+  EXPECT_EQ(log.Find(1)->claimed_by, 0);
+  EXPECT_EQ(log.Find(1)->round_claim, 2u);
+  EXPECT_EQ(log.Find(2)->claimed_by, -1);
+  EXPECT_EQ(log.Find(2)->round_claim, 2u);
+}
+
+TEST(RecoveryLogTest, ReinsertedRecordComesBackUnclaimed) {
+  RecoveryLog log;
+  log.Append({5, 2, 0, MakeTuple(5)});
+  log.Claim({5}, /*round=*/1, /*consumer=*/0);
+  auto extracted = log.ExtractAll();
+  ASSERT_EQ(extracted.size(), 1u);
+  EXPECT_EQ(extracted[0].claimed_by, 0);
+  extracted[0].consumer = 1;
+  log.Reinsert(extracted[0]);
+  ASSERT_NE(log.Find(5), nullptr);
+  EXPECT_EQ(log.Find(5)->consumer, 1);
+  EXPECT_EQ(log.Find(5)->claimed_by, -1);
+  EXPECT_EQ(log.Find(5)->round_claim, 0u);
+}
+
 TEST(AckBatcherTest, SignalsAtInterval) {
   AckBatcher batcher(3);
   EXPECT_FALSE(batcher.Add(1));
