@@ -1,13 +1,13 @@
-// chaos_repro --seed=N
-//   [--lossy|--slow-consumer|--memory-squeeze|--multi-query] [--batch=N]
-//   [--trace]
+// chaos_repro --seed=N [PROFILE] [--no-flow-control] [--batch=N] [--trace]
+//   [--verbose]
 //
 // Replays one chaos scenario and prints its description, invariant
 // violations, control-plane counters and trace fingerprint. Runs the
 // scenario twice to also check invariant (c): identical seeds must produce
-// byte-identical event traces. `--lossy` selects the lossy-network profile
-// (message loss, partitions, heartbeat stalls) of the same seed. Exit code
-// 0 iff every invariant holds.
+// byte-identical event traces. PROFILE is one of the profile flags of the
+// table in scenario.cc (`--lossy`, `--tenant-storm`, ...; the usage text
+// lists them all); without one the seed's standard scenario runs. Exit
+// code 0 iff every invariant holds.
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +17,7 @@
 #include "chaos/runner.h"
 #include "chaos/trace.h"
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace {
 
@@ -30,28 +31,37 @@ bool ParseUint64(const char* text, uint64_t* value) {
 }
 
 void Usage(const char* argv0) {
+  std::string profiles;
+  std::string lines;
+  for (const gqp::chaos::ProfileInfo& info : gqp::chaos::Profiles()) {
+    if (!info.flag.empty()) {
+      profiles += gqp::StrCat(profiles.empty() ? "" : "|", info.flag);
+    }
+    const std::string flag =
+        info.flag.empty() ? "(no profile flag)" : std::string(info.flag);
+    lines += gqp::StrCat(gqp::StrFormat("  %-20s", flag.c_str()), info.help,
+                         "\n");
+  }
   std::fprintf(
       stderr,
-      "usage: %s --seed=N "
-      "[--lossy|--slow-consumer|--memory-squeeze|--multi-query|"
-      "--coordinator-kill|--tenant-storm] [--batch=N] [--trace]\n"
-      "  --seed=N          scenario seed to replay (required)\n"
-      "  --lossy           lossy-network profile (loss, partitions, "
-      "stalls)\n"
-      "  --slow-consumer   sustained CPU sag on one evaluator, flow "
-      "control on\n"
-      "  --memory-squeeze  standard chaos under a tight memory budget\n"
-      "  --multi-query     standard chaos with several overlapping "
-      "queries\n"
-      "  --coordinator-kill  crash the primary coordinator; a standby "
-      "GDQS takes over (D14)\n"
-      "  --tenant-storm    open-loop multi-tenant overload under GDQS "
-      "admission control (D16)\n"
-      "  --no-flow-control force flow control off (A/B against a flow-"
+      "usage: %s --seed=N [%s] [--no-flow-control] [--batch=N] [--trace] "
+      "[--verbose]\n"
+      "  --seed=N            scenario seed to replay (required)\n"
+      "%s"
+      "  --no-flow-control   force flow control off (A/B against a flow-"
       "control profile)\n"
-      "  --batch=N         run N-row operator batches (D13; default 1)\n"
-      "  --trace           dump the full event trace of the first run\n",
-      argv0);
+      "  --batch=N           run N-row operator batches (D13; default 1)\n"
+      "  --trace             dump the full event trace of the first run\n"
+      "  --verbose           debug logs (discard/recall seq lists)\n",
+      argv0, profiles.c_str(), lines.c_str());
+}
+
+/// The profile whose flag is `arg`, if any.
+const gqp::chaos::ProfileInfo* FindProfileFlag(const char* arg) {
+  for (const gqp::chaos::ProfileInfo& info : gqp::chaos::Profiles()) {
+    if (!info.flag.empty() && info.flag == arg) return &info;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -77,18 +87,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_seed = true;
-    } else if (std::strcmp(arg, "--lossy") == 0) {
-      profile = gqp::chaos::ChaosProfile::kLossy;
-    } else if (std::strcmp(arg, "--slow-consumer") == 0) {
-      profile = gqp::chaos::ChaosProfile::kSlowConsumer;
-    } else if (std::strcmp(arg, "--memory-squeeze") == 0) {
-      profile = gqp::chaos::ChaosProfile::kMemorySqueeze;
-    } else if (std::strcmp(arg, "--multi-query") == 0) {
-      profile = gqp::chaos::ChaosProfile::kMultiQuery;
-    } else if (std::strcmp(arg, "--coordinator-kill") == 0) {
-      profile = gqp::chaos::ChaosProfile::kCoordinatorKill;
-    } else if (std::strcmp(arg, "--tenant-storm") == 0) {
-      profile = gqp::chaos::ChaosProfile::kTenantStorm;
+    } else if (const gqp::chaos::ProfileInfo* info = FindProfileFlag(arg)) {
+      profile = info->profile;
     } else if (std::strcmp(arg, "--no-flow-control") == 0) {
       no_flow_control = true;
     } else if (std::strncmp(arg, "--batch=", 8) == 0) {
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(q.rounds_applied));
     }
   }
-  if (scenario.tenant_storm) {
+  if (scenario.storm_tenants > 0) {
     std::fputs(first.workload.Render().c_str(), stdout);
     std::printf(
         "admission: submitted=%llu admitted=%llu queue_full=%llu "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -402,25 +403,37 @@ void CheckDetection(const HeartbeatMonitor* monitor,
                     const ChaosScenario& scenario,
                     std::vector<std::string>* violations) {
   if (monitor == nullptr) return;
-  const double bound_ms = monitor->MaxDetectionLatencyMs();
+  const double budget_ms = monitor->MaxDetectionLatencyMs();
   for (const FailureEvent& ev : scenario.failures) {
     const HostId host = static_cast<HostId>(2 + ev.evaluator);
-    const double deadline = ev.at_ms + bound_ms;
-    const std::optional<SimTime> confirmed = monitor->LastConfirmMs(host);
-    if (confirmed.has_value() && *confirmed <= deadline) continue;
-    // The query may simply have finished first: once the detector is
-    // deactivated nothing beats and nothing can (or needs to) confirm.
-    if (!monitor->active() && monitor->last_deactivate_ms() <= deadline) {
-      continue;
+    // An idle detector confirms nothing, so the budget starts at the
+    // crash or the next epoch start, and restarts in every epoch. The
+    // first epoch that lasts the full budget sets the deadline; if none
+    // does, the queries were done before the crash could be confirmed.
+    std::optional<double> deadline;
+    for (const HeartbeatMonitor::WatchWindow& w : monitor->windows()) {
+      const double end = std::max(ev.at_ms, w.start_ms) + budget_ms;
+      if (w.end_ms > end) {
+        deadline = end;
+        break;
+      }
     }
+    if (!deadline.has_value()) continue;
+    // The first confirmation at or after the crash: an earlier one was a
+    // false suspicion, later ones re-confirm the death in later epochs.
+    const std::vector<SimTime>& confirms = monitor->ConfirmTimes(host);
+    const auto confirmed =
+        std::lower_bound(confirms.begin(), confirms.end(), ev.at_ms);
+    if (confirmed != confirms.end() && *confirmed <= *deadline) continue;
     // The last-survivor guard withholds confirmation on purpose.
     if (monitor->ConfirmSuppressed(host)) continue;
     violations->push_back(StrCat(
         "[detection] evaluator ", ev.evaluator, " (host ", host,
         ") crashed at ", ev.at_ms, " ms but was ",
-        confirmed.has_value() ? StrCat("confirmed at ", *confirmed)
-                              : std::string("never confirmed"),
-        "; bound is ", deadline, " ms (latency budget ", bound_ms, " ms)"));
+        confirmed != confirms.end() ? StrCat("confirmed at ", *confirmed)
+                                    : std::string("never confirmed"),
+        "; bound is ", *deadline, " ms (latency budget ", budget_ms,
+        " ms)"));
   }
 }
 

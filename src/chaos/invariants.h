@@ -12,11 +12,19 @@
 //       surviving consumers;
 //   (c) replay determinism — checked by the runner/tests comparing event
 //       traces of double runs (see trace.h);
-//   (d) termination — the simulation drains, the query completes and
-//       reports no execution error;
+//   (d) termination — the simulation drains and every submitted query
+//       reaches exactly one terminal state (the trichotomy Complete /
+//       Aborted / Rejected); only admission control may reject or shed,
+//       so without it every query completes;
 //   (e) detection latency — every injected crash is confirmed by the
-//       heartbeat detector within its configured worst-case bound (unless
-//       the query finished first or the last-survivor guard applied).
+//       heartbeat detector within its configured worst-case bound,
+//       counted per watch epoch (unless no epoch after the crash lasted
+//       the full budget or the last-survivor guard applied);
+//   (f) bounded memory (flow-control runs) — every queue, producer buffer
+//       and recovery log stays inside its configured bound.
+//
+// Under admission control the runner also reconciles the controller's
+// ledger with what the clients saw.
 //
 // Every violation string is prefixed with the invariant tag so sweeps can
 // aggregate by class.
@@ -80,9 +88,13 @@ void CheckConservation(GridSetup* grid, int query_id,
                        std::vector<std::string>* violations);
 
 /// Invariant (e): every injected crash is confirmed within
-/// monitor->MaxDetectionLatencyMs() of the kill — excused only when the
-/// detector was deactivated (query done) before the bound expired or the
-/// last-survivor guard deliberately withheld the confirmation.
+/// monitor->MaxDetectionLatencyMs(). The detector watches in epochs (one
+/// per busy period of the coordinator) and confirms nothing in between,
+/// so the budget starts at max(crash, epoch start) and restarts in each
+/// epoch; the first confirmation at or after the crash must land within
+/// the first epoch that lasts the full budget. Excused when no epoch
+/// after the crash lasts that long or the last-survivor guard
+/// deliberately withheld the confirmation.
 void CheckDetection(const HeartbeatMonitor* monitor,
                     const ChaosScenario& scenario,
                     std::vector<std::string>* violations);

@@ -1,8 +1,8 @@
 #include "chaos/runner.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "chaos/invariants.h"
@@ -30,6 +30,7 @@ PerturbationPtr MakeProfile(const PerturbationEvent& ev) {
                                                  ev.profile_seed);
     case PerturbationEvent::Kind::kStep: {
       std::vector<StepPerturbation::Step> steps;
+      steps.reserve(ev.steps.size());
       for (const auto& [start_ms, factor] : ev.steps) {
         steps.push_back(StepPerturbation::Step{start_ms, factor});
       }
@@ -70,74 +71,16 @@ std::string DumpExecutors(GridSetup* grid, int query_id) {
   return out;
 }
 
-/// Multi-tenant storm (D16): the open-loop workload driver replaces the
-/// single base query; the per-query invariant is the terminal trichotomy
-/// plus per-completed-query result correctness, and the admission
-/// controller's caps are checked against its own counters.
-ChaosRunResult RunTenantStorm(const ChaosScenario& scenario,
-                              const ChaosRunOptions& options) {
-  ChaosRunResult result;
-  const std::string repro =
-      ReproCommand(scenario.seed, scenario.profile, scenario.vector_batch_size);
-
-  GridOptions grid_options;
-  grid_options.num_evaluators = scenario.num_evaluators;
-  grid_options.evaluator_capacities = scenario.capacities;
-  grid_options.link = scenario.initial_link;
-  grid_options.adaptive = true;
-  grid_options.med.window = scenario.med_window;
-  grid_options.med.thres_m = scenario.thres_m;
-  grid_options.detect.enabled = true;
-  grid_options.detect.heartbeat_interval_ms = scenario.heartbeat_interval_ms;
-  grid_options.reliable.enabled = true;
-  grid_options.admission.enabled = true;
-  grid_options.admission.max_concurrent_queries = scenario.storm_max_concurrent;
-  grid_options.admission.queue_capacity =
-      static_cast<size_t>(scenario.storm_queue_capacity);
-  grid_options.admission.per_tenant_inflight_cap = scenario.storm_per_tenant_cap;
-  // Each admitted query's share of the global pool lands near the
-  // scenario's per-query budget.
-  grid_options.admission.global_memory_budget_bytes =
-      static_cast<uint64_t>(scenario.memory_budget_bytes) *
-      static_cast<uint64_t>(scenario.storm_max_concurrent);
-  grid_options.admission.shed_enabled = true;
-
-  GridSetup grid(grid_options);
-  result.status = grid.Initialize();
-  if (!result.status.ok()) return result;
-
-  EventTraceRecorder recorder(options.keep_trace);
-  recorder.Attach(grid.simulator());
-  grid.simulator()->set_max_events(options.max_events);
-
-  ProteinSequencesSpec seq_spec;
-  seq_spec.num_rows = scenario.sequences;
-  seq_spec.sequence_length = scenario.sequence_length;
-  seq_spec.seed = scenario.seed;
-  const TablePtr sequences = GenerateProteinSequences(seq_spec);
-  ProteinInteractionsSpec inter_spec;
-  inter_spec.num_rows = scenario.interactions;
-  inter_spec.num_orfs = scenario.sequences;
-  inter_spec.seed = scenario.seed + 1000003;
-  const TablePtr interactions = GenerateProteinInteractions(inter_spec);
-  result.status = grid.AddTable(sequences);
-  if (!result.status.ok()) return result;
-  result.status = grid.AddTable(interactions);
-  if (!result.status.ok()) return result;
-  result.status = grid.AddWebService("EntropyAnalyser", DataType::kDouble,
-                                     scenario.ws_cost_ms);
-  if (!result.status.ok()) return result;
-
-  for (const FailureEvent& ev : scenario.failures) {
-    grid.simulator()->Schedule(
-        ev.at_ms, [&grid, &ev] { (void)grid.FailEvaluator(ev.evaluator); });
-  }
-
-  DriverConfig driver_config;
-  driver_config.seed = scenario.seed ^ 0x7E4A47ULL;
-  driver_config.horizon_ms = scenario.storm_horizon_ms;
-  driver_config.deadline_ms = scenario.deadline_ms;
-  driver_config.max_queries = 300;
+/// The tenant-storm workload (D16): K open-loop tenants over the
+/// Q1/Q2/scan-aggregate mix, tenant 0 bursting, every arrival submitted
+/// with `base` options.
+DriverConfig StormWorkload(const ChaosScenario& scenario,
+                           const QueryOptions& base) {
+  DriverConfig config;
+  config.seed = scenario.seed ^ 0x7E4A47ULL;
+  config.horizon_ms = scenario.storm_horizon_ms;
+  config.deadline_ms = scenario.deadline_ms;
+  config.max_queries = 300;
   for (int i = 0; i < scenario.storm_tenants; ++i) {
     TenantSpec tenant;
     tenant.name = StrCat("t", i);
@@ -152,137 +95,10 @@ ChaosRunResult RunTenantStorm(const ChaosScenario& scenario,
     tenant.weight_q1 = 1.0;
     tenant.weight_q2 = 0.5;
     tenant.weight_scan_agg = 0.5;
-    driver_config.tenants.push_back(std::move(tenant));
+    config.tenants.push_back(std::move(tenant));
   }
-  QueryOptions base;
-  base.adaptivity.enabled = true;
-  base.adaptivity.assessment = scenario.assessment;
-  base.adaptivity.response = ResponseType::kRetrospective;
-  base.adaptivity.thres_a = scenario.thres_a;
-  base.adaptivity.thres_m = scenario.thres_m;
-  base.adaptivity.window = scenario.med_window;
-  base.exec.m1_frequency = scenario.m1_frequency;
-  base.exec.checkpoint_interval = scenario.checkpoint_interval;
-  base.exec.buffer_tuples = scenario.buffer_tuples;
-  base.exec.monitoring_enabled = true;
-  base.exec.recovery_log_enabled = true;
-  base.exec.flow_control_enabled = scenario.flow_control;
-  base.exec.memory_budget_bytes = scenario.memory_budget_bytes;
-  base.scheduler.num_evaluators = scenario.num_evaluators;
-  driver_config.base_options = base;
-
-  WorkloadDriver driver(driver_config);
-  driver.ScheduleArrivals(&grid);
-
-  const Status run_status = grid.simulator()->Run();
-  EventTraceRecorder::Detach(grid.simulator());
-  result.trace_hash = recorder.hash();
-  result.trace_events = recorder.events();
-  if (options.keep_trace) result.trace = recorder.trace();
-  result.final_time_ms = grid.simulator()->Now();
-
-  result.net = grid.network()->stats();
-  if (grid.bus()->reliable() != nullptr) {
-    result.transport = grid.bus()->reliable()->stats();
-  }
-  if (grid.monitor() != nullptr) {
-    result.detect = grid.monitor()->stats();
-    for (int i = 0; i < scenario.num_evaluators; ++i) {
-      if (const Heartbeater* hb = grid.heartbeater(i)) {
-        result.heartbeats_sent += hb->beats_sent();
-        result.heartbeats_suppressed += hb->beats_suppressed();
-      }
-    }
-  }
-  if (const AdmissionController* admission = grid.gdqs()->admission()) {
-    result.admission = admission->stats();
-  }
-
-  if (!run_status.ok()) {
-    result.violations.push_back(
-        StrCat("[termination] simulator did not drain: ",
-               run_status.ToString(), " — repro: ", repro));
-    return result;
-  }
-
-  result.workload = driver.Collect(&grid);
-  result.completed = result.workload.trichotomy_ok;
-
-  std::vector<std::string> violations;
-  for (const DriverQueryRecord& record : result.workload.queries) {
-    if (record.outcome == gqp::QueryOutcome::kUnresolved) {
-      violations.push_back(StrCat(
-          "[trichotomy] query ", record.query_id, " (tenant t",
-          record.tenant, ", ", QueryKindName(record.kind), ", submitted t",
-          record.submit_ms, ") drained without a terminal state: ",
-          record.detail));
-    }
-  }
-
-  // Per-completed-query correctness, under at-least-once bounds (one
-  // evaluator crash is always injected mid-storm).
-  const std::set<HostId> reported_failures = grid.gdqs()->reported_failures();
-  for (const DriverQueryRecord& record : result.workload.queries) {
-    if (record.outcome != gqp::QueryOutcome::kComplete) continue;
-    Result<QueryResult> rows = grid.gdqs()->GetResult(record.query_id);
-    if (!rows.ok()) {
-      violations.push_back(StrCat("[results] completed query ",
-                                  record.query_id, " has no result: ",
-                                  rows.status().ToString()));
-      continue;
-    }
-    Result<QueryStatsSnapshot> stats =
-        grid.gdqs()->CollectStats(record.query_id);
-    const uint64_t resent = stats.ok() ? stats->resent_tuples : 0;
-    const size_t before = violations.size();
-    if (record.kind == QueryKind::kScanAgg) {
-      CheckAggregateResults(*interactions, rows->rows,
-                            /*failures_injected=*/true, resent, &violations);
-    } else {
-      CheckResults(OracleRows(record.kind, *sequences, *interactions),
-                   rows->rows, /*failures_injected=*/true, resent,
-                   MaxOutputFanout(record.kind, *sequences, *interactions),
-                   &violations);
-    }
-    CheckConservation(&grid, record.query_id, reported_failures, &violations);
-    for (size_t v = before; v < violations.size(); ++v) {
-      violations[v] += StrCat(" [q", record.query_id, "]");
-    }
-    result.per_query.push_back(QueryOutcome{
-        record.query_id, record.kind, true, rows->rows.size(),
-        record.latency_ms, stats.ok() ? stats->queued_bytes_peak : 0,
-        stats.ok() ? stats->rounds_applied : 0});
-  }
-
-  // Admission accounting: the bounded queue must actually have been
-  // bounded, every rejection the clients saw must match the controller's
-  // own ledger, and nothing may be left admitted or queued after drain.
-  if (result.admission.queue_peak >
-      static_cast<size_t>(scenario.storm_queue_capacity)) {
-    violations.push_back(StrCat(
-        "[admission] queue peak ", result.admission.queue_peak,
-        " exceeded the configured capacity ", scenario.storm_queue_capacity));
-  }
-  if (result.admission.rejected_queue_full + result.admission.shed_queued !=
-      result.workload.rejected) {
-    violations.push_back(StrCat(
-        "[admission] controller counted ",
-        result.admission.rejected_queue_full, " queue-full + ",
-        result.admission.shed_queued, " shed rejections but clients saw ",
-        result.workload.rejected));
-  }
-  if (const AdmissionController* admission = grid.gdqs()->admission()) {
-    if (admission->live() != 0 || admission->queue_depth() != 0) {
-      violations.push_back(StrCat(
-          "[admission] drained simulation left live=", admission->live(),
-          " queued=", admission->queue_depth()));
-    }
-  }
-
-  for (std::string& v : violations) {
-    result.violations.push_back(StrCat(v, " — repro: ", repro));
-  }
-  return result;
+  config.base_options = base;
+  return config;
 }
 
 }  // namespace
@@ -296,7 +112,6 @@ std::string ChaosRunResult::Report() const {
 
 ChaosRunResult RunScenario(const ChaosScenario& scenario,
                            const ChaosRunOptions& options) {
-  if (scenario.tenant_storm) return RunTenantStorm(scenario, options);
   ChaosRunResult result;
   const std::string repro =
       ReproCommand(scenario.seed, scenario.profile, scenario.vector_batch_size);
@@ -317,6 +132,17 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   grid_options.loss_rate = scenario.loss_rate;
   grid_options.loss_seed = scenario.seed ^ 0x1055C0DEULL;
   grid_options.standby_enabled = scenario.standby;
+  // Admission control (D16) is on iff the workload is the tenant storm.
+  // Each admitted query's share of the global pool lands near the
+  // scenario's per-query budget.
+  grid_options.admission.enabled = scenario.storm_tenants > 0;
+  grid_options.admission.max_concurrent_queries = scenario.storm_max_concurrent;
+  grid_options.admission.queue_capacity =
+      static_cast<size_t>(scenario.storm_queue_capacity);
+  grid_options.admission.per_tenant_inflight_cap = scenario.storm_per_tenant_cap;
+  grid_options.admission.global_memory_budget_bytes =
+      static_cast<uint64_t>(scenario.memory_budget_bytes) *
+      static_cast<uint64_t>(scenario.storm_max_concurrent);
 
   GridSetup grid(grid_options);
   result.status = grid.Initialize();
@@ -406,31 +232,46 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   query_options.scheduler.num_evaluators = scenario.num_evaluators;
   query_options.deadline_ms = scenario.deadline_ms;
 
-  Result<int> query = grid.gdqs()->SubmitQuery(QuerySql(scenario.query),
-                                               query_options);
-  if (!query.ok()) {
-    result.status = query.status();
-    return result;
-  }
-
-  // Concurrent queries (kMultiQuery only; the vector is empty in every
-  // other profile, so legacy runs schedule zero extra events). Submission
-  // happens at virtual time, while the base query is already executing.
-  std::vector<int> extra_ids(scenario.extra_queries.size(), -1);
-  for (size_t i = 0; i < scenario.extra_queries.size(); ++i) {
-    const ConcurrentQuery& q = scenario.extra_queries[i];
-    QueryOptions extra_options = query_options;
-    // R2 cannot preserve correctness for the partitioned stateful join;
-    // per-query override, same rule the generator applies to the base.
-    if (q.kind == QueryKind::kQ2) {
-      extra_options.adaptivity.response = ResponseType::kRetrospective;
+  // The workload: either the storm's open-loop arrivals or the base query
+  // plus the concurrent ones (kMultiQuery and kCoordinatorKill; the list
+  // is empty elsewhere, so those runs schedule zero extra events). Both
+  // sources end up as one list of submission records, base query first.
+  std::optional<WorkloadDriver> driver;
+  std::vector<DriverQueryRecord> submitted;
+  int base_id = -1;
+  if (scenario.storm_tenants > 0) {
+    driver.emplace(StormWorkload(scenario, query_options));
+    driver->ScheduleArrivals(&grid);
+  } else {
+    Result<int> query = grid.gdqs()->SubmitQuery(QuerySql(scenario.query),
+                                                 query_options);
+    if (!query.ok()) {
+      result.status = query.status();
+      return result;
     }
-    sim->ScheduleAt(
-        q.submit_at_ms, [&grid, &extra_ids, i, q, extra_options] {
-          Result<int> id =
-              grid.gdqs()->SubmitQuery(QuerySql(q.kind), extra_options);
-          if (id.ok()) extra_ids[i] = *id;
-        });
+    base_id = *query;
+    submitted.resize(1 + scenario.extra_queries.size());
+    submitted[0].query_id = base_id;
+    submitted[0].kind = scenario.query;
+    for (size_t i = 0; i < scenario.extra_queries.size(); ++i) {
+      const ConcurrentQuery& q = scenario.extra_queries[i];
+      submitted[i + 1].kind = q.kind;
+      submitted[i + 1].submit_ms = q.submit_at_ms;
+      QueryOptions extra_options = query_options;
+      // R2 cannot preserve correctness for the partitioned stateful join;
+      // per-query override, same rule the generator applies to the base.
+      if (q.kind == QueryKind::kQ2) {
+        extra_options.adaptivity.response = ResponseType::kRetrospective;
+      }
+      // Submission happens at virtual time, while the base query is
+      // already executing.
+      sim->ScheduleAt(q.submit_at_ms, [&grid, &submitted, i, q,
+                                       extra_options] {
+        Result<int> id =
+            grid.gdqs()->SubmitQuery(QuerySql(q.kind), extra_options);
+        if (id.ok()) submitted[i + 1].query_id = *id;
+      });
+    }
   }
 
   // --- invariant (d): termination --------------------------------------
@@ -474,8 +315,6 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
     reported_failures.insert(extra.begin(), extra.end());
   }
 
-  result.completed = query_complete(*query);
-
   // Control-plane counters (kept even on violation paths — they are the
   // first thing a red seed's diagnosis needs).
   result.net = grid.network()->stats();
@@ -507,50 +346,54 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
       }
     }
   }
+  const AdmissionController* admission = grid.gdqs()->admission();
+  if (admission != nullptr) result.admission = admission->stats();
 
+  // Terminal states. The driver classifies its own arrivals (it knows
+  // which coordinator took each one); the base and concurrent queries are
+  // classified here the same way.
+  if (driver.has_value()) {
+    result.workload = driver->Collect(&grid);
+  } else {
+    for (DriverQueryRecord& record : submitted) {
+      const Status status = record.query_id < 0
+                                ? Status::Internal("submission failed")
+                                : execution_status(record.query_id);
+      if (status.IsRejected()) {
+        record.outcome = gqp::QueryOutcome::kRejected;
+      } else if (!status.ok()) {
+        record.outcome = gqp::QueryOutcome::kAborted;
+      } else if (query_complete(record.query_id)) {
+        record.outcome = gqp::QueryOutcome::kComplete;
+      }
+      if (!status.ok()) record.detail = status.ToString();
+    }
+  }
+  const std::vector<DriverQueryRecord>& records =
+      driver.has_value() ? result.workload.queries : submitted;
+  // Only an admission controller may reject or shed a query; without one
+  // every query must complete.
+  const auto allowed = [&](gqp::QueryOutcome outcome) {
+    return outcome == gqp::QueryOutcome::kComplete ||
+           (admission != nullptr && outcome != gqp::QueryOutcome::kUnresolved);
+  };
+  result.completed = std::all_of(
+      records.begin(), records.end(),
+      [&](const DriverQueryRecord& r) { return allowed(r.outcome); });
+
+  std::vector<std::string> violations;
   if (!run_status.ok()) {
+    std::string executors;
+    for (const DriverQueryRecord& record : records) {
+      if (record.outcome != gqp::QueryOutcome::kUnresolved) continue;
+      executors += DumpExecutors(&grid, final_id(record.query_id));
+    }
     result.violations.push_back(
         StrCat("[termination] simulator did not drain: ",
-               run_status.ToString(), " — repro: ", repro,
-               DumpExecutors(&grid, *query)));
-    return result;
-  }
-  if (!result.completed) {
-    result.violations.push_back(StrCat(
-        "[termination] query never completed (events=",
-        sim->events_executed(),
-        ", t=", result.final_time_ms, " ms) — repro: ", repro,
-        DumpExecutors(&grid, *query)));
-    return result;
-  }
-  const Status exec_status = execution_status(*query);
-  if (!exec_status.ok()) {
-    result.violations.push_back(
-        StrCat("[termination] execution error: ", exec_status.ToString(),
-               " — repro: ", repro));
+               run_status.ToString(), " — repro: ", repro, executors));
     return result;
   }
 
-  Result<QueryResult> query_result = get_result(*query);
-  if (!query_result.ok()) {
-    result.status = query_result.status();
-    return result;
-  }
-  result.response_ms = query_result->response_time_ms;
-  for (const Tuple& row : query_result->rows) {
-    result.result_rows.push_back(row.ToString());
-  }
-  Result<QueryStatsSnapshot> stats = collect_stats(*query);
-  if (stats.ok()) result.stats = *stats;
-  result.per_query.push_back(QueryOutcome{
-      *query, scenario.query, true, query_result->rows.size(),
-      result.response_ms, result.stats.queued_bytes_peak,
-      result.stats.rounds_applied});
-
-  // --- invariants (a) + (b) + (e) ---------------------------------------
-  std::vector<std::string> violations;
-  const std::multiset<std::string> oracle =
-      OracleRows(scenario.query, *sequences, *interactions);
   // A confirmed false suspicion triggers the same recovery resends as a
   // real crash, so it widens the at-least-once budget the same way.
   const bool failures_injected = !scenario.failures.empty() ||
@@ -570,62 +413,105 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
       dataset_bytes += row.WireSize();
     }
   }
-  CheckResults(oracle, query_result->rows, failures_injected,
-               result.stats.resent_tuples,
-               MaxOutputFanout(scenario.query, *sequences, *interactions),
-               &violations);
-  CheckConservation(&grid, final_id(*query), reported_failures, &violations);
-  CheckDetection(grid.monitor(), scenario, &violations);
-  if (scenario.flow_control) {
-    CheckBoundedMemory(
-        &grid, final_id(*query), max_row + max_inter,
-        MaxOutputFanout(scenario.query, *sequences, *interactions),
-        dataset_bytes, &violations);
-  }
 
-  // Every concurrent query is held to the same invariants: correct result
-  // multiset, tuple conservation and bounded memory, all scoped per query.
-  for (size_t i = 0; i < scenario.extra_queries.size(); ++i) {
-    const ConcurrentQuery& q = scenario.extra_queries[i];
+  // Every submitted query is held to the same invariants: a terminal
+  // state it is allowed to reach and, once complete, a correct result
+  // multiset (a), tuple conservation (b) and bounded memory (f), all
+  // scoped per query.
+  for (const DriverQueryRecord& record : records) {
+    // Rejections and sheds are the workload report's to account for.
+    if (record.outcome != gqp::QueryOutcome::kComplete &&
+        allowed(record.outcome)) {
+      continue;
+    }
     QueryOutcome outcome;
-    outcome.query_id = extra_ids[i];
-    outcome.kind = q.kind;
+    outcome.query_id = record.query_id;
+    outcome.kind = record.kind;
     const size_t before = violations.size();
-    if (extra_ids[i] < 0 || !query_complete(extra_ids[i])) {
-      violations.push_back(StrCat("[termination] concurrent query ", i + 1,
-                                  " never completed"));
-    } else if (const Status st = execution_status(extra_ids[i]); !st.ok()) {
+    if (record.outcome == gqp::QueryOutcome::kUnresolved) {
       violations.push_back(StrCat(
-          "[termination] concurrent query execution error: ", st.ToString()));
+          "[trichotomy] query (", QueryKindName(record.kind), ", submitted t",
+          record.submit_ms, ") drained without a terminal state",
+          DumpExecutors(&grid, final_id(record.query_id))));
+    } else if (record.outcome != gqp::QueryOutcome::kComplete) {
+      violations.push_back(
+          StrCat("[termination] query (", QueryKindName(record.kind),
+                 ") did not complete: ", record.detail));
     } else {
-      outcome.completed = true;
-      Result<QueryResult> extra_result = get_result(extra_ids[i]);
-      Result<QueryStatsSnapshot> extra_stats = collect_stats(extra_ids[i]);
-      if (extra_result.ok() && extra_stats.ok()) {
-        outcome.rows = extra_result->rows.size();
-        outcome.response_ms = extra_result->response_time_ms;
-        outcome.queued_bytes_peak = extra_stats->queued_bytes_peak;
-        outcome.rounds_applied = extra_stats->rounds_applied;
-        CheckResults(OracleRows(q.kind, *sequences, *interactions),
-                     extra_result->rows, failures_injected,
-                     extra_stats->resent_tuples,
-                     MaxOutputFanout(q.kind, *sequences, *interactions),
-                     &violations);
-        CheckConservation(&grid, final_id(extra_ids[i]), reported_failures,
-                          &violations);
+      Result<QueryResult> rows = get_result(record.query_id);
+      Result<QueryStatsSnapshot> stats = collect_stats(record.query_id);
+      if (!rows.ok() || !stats.ok()) {
+        violations.push_back(StrCat(
+            "[results] completed query has no result: ",
+            (rows.ok() ? stats.status() : rows.status()).ToString()));
+      } else {
+        outcome.completed = true;
+        outcome.rows = rows->rows.size();
+        outcome.response_ms = rows->response_time_ms;
+        outcome.queued_bytes_peak = stats->queued_bytes_peak;
+        outcome.rounds_applied = stats->rounds_applied;
+        if (record.query_id == base_id) {
+          result.response_ms = rows->response_time_ms;
+          for (const Tuple& row : rows->rows) {
+            result.result_rows.push_back(row.ToString());
+          }
+          result.stats = *stats;
+        }
+        const size_t fanout =
+            MaxOutputFanout(record.kind, *sequences, *interactions);
+        if (record.kind == QueryKind::kScanAgg) {
+          CheckAggregateResults(*interactions, rows->rows, failures_injected,
+                                stats->resent_tuples, &violations);
+        } else {
+          CheckResults(OracleRows(record.kind, *sequences, *interactions),
+                       rows->rows, failures_injected, stats->resent_tuples,
+                       fanout, &violations);
+        }
+        const int id = final_id(record.query_id);
+        CheckConservation(&grid, id, reported_failures, &violations);
         if (scenario.flow_control) {
-          CheckBoundedMemory(&grid, final_id(extra_ids[i]),
-                             max_row + max_inter,
-                             MaxOutputFanout(q.kind, *sequences,
-                                             *interactions),
+          CheckBoundedMemory(&grid, id, max_row + max_inter, fanout,
                              dataset_bytes, &violations);
         }
       }
     }
     for (size_t v = before; v < violations.size(); ++v) {
-      violations[v] += StrCat(" [q", extra_ids[i], "]");
+      violations[v] += StrCat(" [q", record.query_id, "]");
     }
     result.per_query.push_back(outcome);
+  }
+
+  // --- invariant (e): detection latency ---------------------------------
+  CheckDetection(grid.monitor(), scenario, &violations);
+
+  // Admission accounting: the bounded queue must actually have been
+  // bounded, every rejection the clients saw must match the controller's
+  // own ledger, and nothing may be left admitted or queued after drain.
+  if (admission != nullptr) {
+    const size_t capacity = admission->config().queue_capacity;
+    if (result.admission.queue_peak > capacity) {
+      violations.push_back(StrCat("[admission] queue peak ",
+                                  result.admission.queue_peak,
+                                  " exceeded the configured capacity ",
+                                  capacity));
+    }
+    const uint64_t rejected = static_cast<uint64_t>(std::count_if(
+        records.begin(), records.end(), [](const DriverQueryRecord& r) {
+          return r.outcome == gqp::QueryOutcome::kRejected;
+        }));
+    if (result.admission.rejected_queue_full + result.admission.shed_queued !=
+        rejected) {
+      violations.push_back(StrCat(
+          "[admission] controller counted ",
+          result.admission.rejected_queue_full, " queue-full + ",
+          result.admission.shed_queued, " shed rejections but clients saw ",
+          rejected));
+    }
+    if (admission->live() != 0 || admission->queue_depth() != 0) {
+      violations.push_back(StrCat(
+          "[admission] drained simulation left live=", admission->live(),
+          " queued=", admission->queue_depth()));
+    }
   }
 
   for (std::string& v : violations) {

@@ -1,9 +1,12 @@
 // Chaos runner: executes one seeded scenario through the full GDQS/GQES
 // pipeline (grid construction, datasets, query compilation, adaptive
 // execution under the scenario's perturbation/failure/network schedule)
-// and checks the system invariants of invariants.h. Any violation carries
-// the one-line repro command, so a red sweep entry is immediately
-// replayable: `chaos_repro --seed=N`.
+// and checks the system invariants of invariants.h. The workload is the
+// base query plus any concurrent ones, or a tenant storm's open-loop
+// arrivals under admission control; every profile runs through the same
+// code and the same checks. Any violation carries the one-line repro
+// command, so a red sweep entry is immediately replayable:
+// `chaos_repro --seed=N`.
 
 #ifndef GRIDQP_CHAOS_RUNNER_H_
 #define GRIDQP_CHAOS_RUNNER_H_
@@ -32,8 +35,7 @@ struct ChaosRunOptions {
   uint64_t max_events = 30'000'000ULL;
 };
 
-/// Outcome of one query of a chaos run (every run has at least the base
-/// query; kMultiQuery scenarios add the concurrent ones).
+/// Outcome of one query of a chaos run.
 struct QueryOutcome {
   int query_id = 0;
   QueryKind kind = QueryKind::kQ1;
@@ -48,19 +50,24 @@ struct ChaosRunResult {
   /// Infrastructure failures (grid setup, submission); invariant
   /// violations are reported in `violations`, not here.
   Status status = Status::OK();
+  /// Every submitted query reached a terminal state it may reach:
+  /// complete, or — under admission control only — rejected or aborted.
   bool completed = false;
   std::vector<std::string> violations;
 
   /// Result rows in arrival order (rendered), for determinism comparison.
-  /// Base query only; concurrent queries are summarized in `per_query`.
+  /// Base query only (a storm has none); the other queries are summarized
+  /// in `per_query`.
   std::vector<std::string> result_rows;
   double response_ms = 0.0;
   double final_time_ms = 0.0;
   QueryStatsSnapshot stats;
-  /// One entry per submitted query, base query first.
+  /// One entry per submitted query in submission order, base query first,
+  /// except the ones admission control rejected or aborted (`workload`
+  /// accounts for those).
   std::vector<QueryOutcome> per_query;
 
-  /// Control-plane diagnostics (chaos_repro --verbose): failure-detector,
+  /// Control-plane diagnostics (printed by chaos_repro): failure-detector,
   /// reliable-transport and network-loss counters of the run.
   DetectStats detect;
   ReliableStats transport;
@@ -84,8 +91,7 @@ struct ChaosRunResult {
 
   /// Multi-tenant storm (D16): the open-loop workload's full report and
   /// the admission controller's counters. Only populated when the
-  /// scenario set tenant_storm; `workload.queries` then replaces the
-  /// single-base-query fields above (result_rows stays empty).
+  /// scenario has storm tenants.
   DriverReport workload;
   AdmissionStats admission;
 
@@ -99,9 +105,11 @@ struct ChaosRunResult {
   std::string Report() const;
 };
 
-/// Runs one scenario and checks invariants (a), (b) and (d). Invariant (c)
-/// is checked by running the same scenario twice and comparing
-/// trace/results (see tests/chaos/determinism_test.cc).
+/// Runs one scenario and checks invariants (a), (b), (d), (e) and (f), the
+/// terminal trichotomy and, under admission control, the admission
+/// ledger (invariants.h). Invariant (c) is checked by running the same
+/// scenario twice and comparing trace/results (see
+/// tests/chaos/determinism_test.cc).
 ChaosRunResult RunScenario(const ChaosScenario& scenario,
                            const ChaosRunOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "chaos/scenario.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "common/random.h"
@@ -11,6 +12,22 @@ namespace gqp {
 namespace chaos {
 
 namespace {
+
+constexpr ProfileInfo kProfiles[] = {
+    {ChaosProfile::kStandard, "", "", "standard chaos schedule (the default)"},
+    {ChaosProfile::kLossy, "--lossy", "lossy",
+     "lossy-network profile (loss, partitions, stalls)"},
+    {ChaosProfile::kSlowConsumer, "--slow-consumer", "slow",
+     "sustained CPU sag on one evaluator, flow control on"},
+    {ChaosProfile::kMemorySqueeze, "--memory-squeeze", "squeeze",
+     "standard chaos under a tight memory budget"},
+    {ChaosProfile::kMultiQuery, "--multi-query", "mq",
+     "standard chaos with several overlapping queries"},
+    {ChaosProfile::kCoordinatorKill, "--coordinator-kill", "coord",
+     "crash the primary coordinator; a standby GDQS takes over (D14)"},
+    {ChaosProfile::kTenantStorm, "--tenant-storm", "storm",
+     "open-loop multi-tenant overload under GDQS admission control (D16)"},
+};
 
 std::string_view KindName(PerturbationEvent::Kind kind) {
   switch (kind) {
@@ -137,7 +154,7 @@ std::string ChaosScenario::Describe() const {
     }
     out += "]";
   }
-  if (tenant_storm) {
+  if (storm_tenants > 0) {
     out += StrCat(" storm=[tenants=", storm_tenants, " rate=", storm_rate_qps,
                   "qps burst=", storm_burst_multiplier,
                   "x horizon=", storm_horizon_ms,
@@ -249,8 +266,8 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
     num_failures = 1;
   }
   num_failures = std::min(num_failures, s.num_evaluators - 1);
-  std::vector<int> victims;
-  for (int i = 0; i < s.num_evaluators; ++i) victims.push_back(i);
+  std::vector<int> victims(static_cast<size_t>(s.num_evaluators));
+  std::iota(victims.begin(), victims.end(), 0);
   for (int i = 0; i < num_failures; ++i) {
     const size_t pick = rng.NextBelow(victims.size());
     FailureEvent ev;
@@ -402,7 +419,6 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
     // cost linear in the arrival count; seed diversity comes from the
     // rates, caps and kill schedule. Retrospective response throughout:
     // the mix includes stateful partitioned operators (join, aggregate).
-    s.tenant_storm = true;
     s.storm_tenants = storm_tenants;
     s.storm_rate_qps = storm_rate_qps;
     s.storm_burst_multiplier = storm_burst_multiplier;
@@ -474,33 +490,19 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
   return s;
 }
 
+std::span<const ProfileInfo> Profiles() { return kProfiles; }
+
+const ProfileInfo& GetProfileInfo(ChaosProfile profile) {
+  for (const ProfileInfo& info : kProfiles) {
+    if (info.profile == profile) return info;
+  }
+  return kProfiles[0];
+}
+
 std::string ReproCommand(uint64_t seed, ChaosProfile profile,
                          size_t batch_size) {
-  std::string_view flag;
-  switch (profile) {
-    case ChaosProfile::kStandard:
-      flag = "";
-      break;
-    case ChaosProfile::kLossy:
-      flag = " --lossy";
-      break;
-    case ChaosProfile::kSlowConsumer:
-      flag = " --slow-consumer";
-      break;
-    case ChaosProfile::kMemorySqueeze:
-      flag = " --memory-squeeze";
-      break;
-    case ChaosProfile::kMultiQuery:
-      flag = " --multi-query";
-      break;
-    case ChaosProfile::kCoordinatorKill:
-      flag = " --coordinator-kill";
-      break;
-    case ChaosProfile::kTenantStorm:
-      flag = " --tenant-storm";
-      break;
-  }
-  return StrCat("chaos_repro --seed=", seed, flag,
+  const std::string_view flag = GetProfileInfo(profile).flag;
+  return StrCat("chaos_repro --seed=", seed, flag.empty() ? "" : " ", flag,
                 batch_size != 1 ? StrCat(" --batch=", batch_size) : "");
 }
 

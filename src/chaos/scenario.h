@@ -11,7 +11,9 @@
 #define GRIDQP_CHAOS_SCENARIO_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/adaptivity_config.h"
@@ -180,10 +182,9 @@ struct ChaosScenario {
   double deadline_ms = 0.0;
 
   // --- multi-tenant storm (D16) ------------------------------------------
-  /// Open-loop multi-tenant overload under GDQS admission control. Only
-  /// the kTenantStorm profile sets it; legacy profiles keep byte-identical
-  /// runs (the storm knobs below are dead weight for them).
-  bool tenant_storm = false;
+  /// Open-loop tenants replacing the base query as the workload, under
+  /// GDQS admission control. Only the kTenantStorm profile sets it; 0
+  /// (every other profile) means no storm and no admission control.
   int storm_tenants = 0;
   /// Sustained per-tenant arrival rate; tenant 0 additionally bursts at
   /// `storm_burst_multiplier` times that rate in periodic windows.
@@ -213,6 +214,21 @@ struct ChaosScenario {
 /// kills from partition/stall windows long enough to be confirmed.
 ChaosScenario GenerateScenario(uint64_t seed,
                                ChaosProfile profile = ChaosProfile::kStandard);
+
+/// One row of the profile table: the `chaos_repro` flag that selects the
+/// profile (empty for kStandard), the short name golden tests use for it
+/// (empty for kStandard) and its `chaos_repro` usage line.
+struct ProfileInfo {
+  ChaosProfile profile;
+  std::string_view flag;
+  std::string_view name;
+  std::string_view help;
+};
+
+/// Every profile, in enum order: the only mapping between profiles,
+/// flags and names.
+std::span<const ProfileInfo> Profiles();
+const ProfileInfo& GetProfileInfo(ChaosProfile profile);
 
 /// The one-line command that reproduces a scenario (printed with every
 /// invariant violation); `--batch=N` is included when N is not 1.

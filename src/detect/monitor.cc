@@ -31,6 +31,7 @@ void HeartbeatMonitor::Activate() {
   if (++active_count_ > 1) return;
   ++epoch_;
   const SimTime now = simulator()->Now();
+  windows_.push_back(WatchWindow{now, kSimTimeInfinity});
   for (auto& [host, w] : watched_) {
     w.state = State::kAlive;
     w.last_heard = now;
@@ -51,7 +52,7 @@ void HeartbeatMonitor::Activate() {
 void HeartbeatMonitor::Deactivate() {
   if (active_count_ == 0) return;
   if (--active_count_ > 0) return;
-  last_deactivate_ms_ = simulator()->Now();
+  windows_.back().end_ms = simulator()->Now();
   for (auto& [host, w] : watched_) {
     // Every watched host gets the stop — including confirmed ones. A
     // confirmation can be FALSE (stalled or partitioned, not dead): such
@@ -117,7 +118,7 @@ void HeartbeatMonitor::Check() {
       w.state = State::kConfirmed;
       --unconfirmed;
       ++stats_.failures_confirmed;
-      confirm_times_[host] = now;
+      confirm_times_[host].push_back(now);
       GQP_LOG_DEBUG << "detect: host " << host << " confirmed failed at "
                     << now;
       if (on_confirm_) on_confirm_(host);
@@ -173,10 +174,11 @@ void HeartbeatMonitor::HandleMessage(const Message& msg) {
   }
 }
 
-std::optional<SimTime> HeartbeatMonitor::LastConfirmMs(HostId host) const {
+const std::vector<SimTime>& HeartbeatMonitor::ConfirmTimes(
+    HostId host) const {
+  static const std::vector<SimTime> kNone;
   auto it = confirm_times_.find(host);
-  if (it == confirm_times_.end()) return std::nullopt;
-  return it->second;
+  return it == confirm_times_.end() ? kNone : it->second;
 }
 
 bool HeartbeatMonitor::ConfirmSuppressed(HostId host) const {

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <vector>
 
 #include "detect/heartbeat.h"
 #include "rpc/service.h"
@@ -52,12 +52,22 @@ class HeartbeatMonitor : public GridService {
   /// Invoked when a confirmed-failed host is heard from again.
   void set_on_readmit(HostCallback fn) { on_readmit_ = std::move(fn); }
 
-  /// Most recent confirmation time for a host, across all epochs.
-  std::optional<SimTime> LastConfirmMs(HostId host) const;
-  /// True if the last-survivor guard ever withheld confirming this host.
+  /// One watch epoch: from the first Activate() to the matching final
+  /// Deactivate(); `end_ms` is +infinity while the epoch is still open.
+  struct WatchWindow {
+    SimTime start_ms = 0.0;
+    SimTime end_ms = 0.0;
+  };
+
+  /// Every confirmation of a host, ascending, across all epochs. A dead
+  /// host is confirmed again in each later epoch (Activate() resets every
+  /// host to alive), and a false suspicion confirms a live one.
+  const std::vector<SimTime>& ConfirmTimes(HostId host) const;
+  /// Every watch epoch so far, oldest first.
+  const std::vector<WatchWindow>& windows() const { return windows_; }
+  /// True if the last-survivor guard withheld confirming this host in the
+  /// current (or last) epoch.
   bool ConfirmSuppressed(HostId host) const;
-  /// Time of the last final Deactivate() (0 if still active / never).
-  SimTime last_deactivate_ms() const { return last_deactivate_ms_; }
 
   /// Current watch epoch (the standby mirrors it so its takeover can stop
   /// heartbeaters started by the dead primary's monitor).
@@ -95,13 +105,13 @@ class HeartbeatMonitor : public GridService {
   GridNode* node_ = nullptr;
   /// std::map: deterministic iteration order for Check() and Activate().
   std::map<HostId, Watched> watched_;
-  /// Confirmation history, preserved across epochs (detection-latency
-  /// invariants read it after the run).
-  std::map<HostId, SimTime> confirm_times_;
+  /// Confirmation and epoch history, preserved across epochs
+  /// (detection-latency invariants read it after the run).
+  std::map<HostId, std::vector<SimTime>> confirm_times_;
+  std::vector<WatchWindow> windows_;
   int active_count_ = 0;
   uint64_t epoch_ = 0;
   bool check_scheduled_ = false;
-  SimTime last_deactivate_ms_ = 0.0;
   HostCallback on_confirm_;
   HostCallback on_readmit_;
   DetectStats stats_;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "chaos/invariants.h"
 #include "detect/heartbeater.h"
 #include "grid/node.h"
 #include "rpc/message_bus.h"
@@ -60,6 +62,16 @@ class DetectTest : public ::testing::Test {
   std::vector<HostId> readmits_;
 };
 
+/// Invariant (e) for one crash of evaluator 0 (host 2) at `at_ms`.
+std::vector<std::string> DetectionViolations(const HeartbeatMonitor& monitor,
+                                             double at_ms) {
+  chaos::ChaosScenario scenario;
+  scenario.failures.push_back(chaos::FailureEvent{at_ms, 0});
+  std::vector<std::string> violations;
+  chaos::CheckDetection(&monitor, scenario, &violations);
+  return violations;
+}
+
 TEST_F(DetectTest, HealthyHostsAreNeverSuspected) {
   monitor_->Activate();
   ASSERT_TRUE(sim_.Run(300.0).ok());
@@ -78,8 +90,8 @@ TEST_F(DetectTest, CrashIsConfirmedWithinTheLatencyBound) {
   const double deadline = 100.0 + monitor_->MaxDetectionLatencyMs();
   ASSERT_TRUE(sim_.Run(deadline + 20.0).ok());
   EXPECT_EQ(confirms_, (std::vector<HostId>{2}));
-  ASSERT_TRUE(monitor_->LastConfirmMs(2).has_value());
-  EXPECT_LE(*monitor_->LastConfirmMs(2), deadline);
+  ASSERT_EQ(monitor_->ConfirmTimes(2).size(), 1u);
+  EXPECT_LE(monitor_->ConfirmTimes(2).front(), deadline);
   EXPECT_EQ(monitor_->stats().failures_confirmed, 1u);
   Finish();
 }
@@ -140,6 +152,72 @@ TEST_F(DetectTest, StaleEpochHeartbeatsAreFenced) {
   ASSERT_TRUE(sim_.Run(60.0).ok());
   Finish();
   EXPECT_GE(monitor_->stats().stale_heartbeats, 1u);
+}
+
+// Invariant (e) over several watch epochs (the GDQS deactivates the
+// detector whenever no query is in flight).
+
+TEST_F(DetectTest, IdleGapCrashIsTimedFromReactivation) {
+  monitor_->Activate();
+  ASSERT_TRUE(sim_.Run(50.0).ok());
+  monitor_->Deactivate();
+  ASSERT_TRUE(sim_.Run(100.0).ok());
+  Crash(&node2_);  // nobody is watching
+  ASSERT_TRUE(sim_.Run(200.0).ok());
+  EXPECT_TRUE(monitor_->ConfirmTimes(2).empty());
+  // No epoch after the crash yet, so nothing could have confirmed it.
+  EXPECT_TRUE(DetectionViolations(*monitor_, 100.0).empty());
+
+  monitor_->Activate();
+  const double budget = monitor_->MaxDetectionLatencyMs();
+  ASSERT_TRUE(sim_.Run(200.0 + budget + 20.0).ok());
+  Finish();
+  ASSERT_EQ(monitor_->ConfirmTimes(2).size(), 1u);
+  const double confirmed = monitor_->ConfirmTimes(2).front();
+  // Late measured from the crash, in time measured from reactivation.
+  EXPECT_GT(confirmed, 100.0 + budget);
+  EXPECT_LE(confirmed, 200.0 + budget);
+  EXPECT_TRUE(DetectionViolations(*monitor_, 100.0).empty());
+}
+
+TEST_F(DetectTest, ReconfirmationInALaterEpochDoesNotMaskTheFirst) {
+  monitor_->Activate();
+  ASSERT_TRUE(sim_.Run(100.0).ok());
+  Crash(&node2_);
+  const double budget = monitor_->MaxDetectionLatencyMs();
+  ASSERT_TRUE(sim_.Run(100.0 + budget + 20.0).ok());
+  monitor_->Deactivate();
+  ASSERT_TRUE(sim_.Run(300.0).ok());
+  // Activate() resets every host to alive: the dead host is confirmed
+  // again in the new epoch.
+  monitor_->Activate();
+  ASSERT_TRUE(sim_.Run(300.0 + budget + 20.0).ok());
+  Finish();
+  const std::vector<SimTime>& confirms = monitor_->ConfirmTimes(2);
+  ASSERT_EQ(confirms.size(), 2u);
+  EXPECT_LE(confirms.front(), 100.0 + budget);
+  EXPECT_GT(confirms.back(), 100.0 + budget);
+  EXPECT_TRUE(DetectionViolations(*monitor_, 100.0).empty());
+}
+
+TEST_F(DetectTest, ConfirmationBeforeTheCrashDoesNotCount) {
+  monitor_->Activate();
+  ASSERT_TRUE(sim_.Run(100.0).ok());
+  // A long stall: the live host is confirmed (false suspicion), then
+  // readmitted when its beats resume at 200 ms.
+  hb2_->Stall(200.0);
+  ASSERT_TRUE(sim_.Run(400.0).ok());
+  Finish();
+  ASSERT_EQ(monitor_->ConfirmTimes(2).size(), 1u);
+  ASSERT_EQ(readmits_, (std::vector<HostId>{2}));
+  // A crash recorded at 250 ms, which the detector never confirmed: the
+  // earlier false confirmation must not satisfy the check, though it
+  // lies before the deadline.
+  const std::vector<std::string> violations =
+      DetectionViolations(*monitor_, 250.0);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("never confirmed"), std::string::npos)
+      << violations[0];
 }
 
 }  // namespace
