@@ -1,8 +1,8 @@
-// Shared reporting helpers for the paper-reproduction benchmark binaries.
-// Each binary regenerates one table or figure of the paper's evaluation
-// and prints rows in "paper vs measured" form, and additionally emits a
-// machine-readable BENCH_<name>.json next to its stdout table so repeated
-// runs accumulate a perf trajectory (see README "Benchmarking").
+// Shared reporting helpers for the benchmark binaries. bench_paper
+// regenerates the paper's whole evaluation; the others measure the engine.
+// Each prints a human-readable table and emits a machine-readable
+// BENCH_<name>.json next to it so repeated runs accumulate a perf
+// trajectory (see README "Benchmarking").
 
 #ifndef GRIDQP_BENCH_BENCH_UTIL_H_
 #define GRIDQP_BENCH_BENCH_UTIL_H_

@@ -192,7 +192,7 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
       return result;
     }
     result.rep_times_ms.push_back(response);
-    result.result_rows = rows;
+    result.rep_rows.push_back(rows);
     result.stats = stats;
     total += response;
   }

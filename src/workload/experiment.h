@@ -46,6 +46,8 @@ struct PerturbSpec {
   double stddev = 0.0;
   double lo = 0.0;
   double hi = 0.0;
+
+  bool operator==(const PerturbSpec&) const = default;
 };
 
 struct ExperimentParams {
@@ -115,6 +117,8 @@ struct ExperimentParams {
   // --- run control ---------------------------------------------------------
   int repetitions = 3;
   uint64_t seed = 1;
+
+  bool operator==(const ExperimentParams&) const = default;
 };
 
 struct ExperimentResult {
@@ -123,7 +127,8 @@ struct ExperimentResult {
   /// Mean response time over repetitions (virtual ms).
   double response_ms = 0.0;
   std::vector<double> rep_times_ms;
-  size_t result_rows = 0;
+  /// Result cardinality of each repetition, in repetition order.
+  std::vector<size_t> rep_rows;
   /// Stats from the last repetition.
   QueryStatsSnapshot stats;
 };

@@ -19,7 +19,7 @@ ExperimentParams SmallQ1() {
 TEST(ExperimentTest, RunsQ1) {
   ExperimentResult r = RunExperiment(SmallQ1());
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.result_rows, 200u);
+  EXPECT_EQ(r.rep_rows, std::vector<size_t>{200});
   EXPECT_GT(r.response_ms, 0.0);
   EXPECT_EQ(r.rep_times_ms.size(), 1u);
 }
@@ -32,7 +32,8 @@ TEST(ExperimentTest, RunsQ2Retrospective) {
   p.interactions = 300;
   ExperimentResult r = RunExperiment(p);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_GT(r.result_rows, 0u);
+  ASSERT_EQ(r.rep_rows.size(), 1u);
+  EXPECT_GT(r.rep_rows[0], 0u);
 }
 
 TEST(ExperimentTest, RepetitionsAveraged) {
@@ -41,6 +42,7 @@ TEST(ExperimentTest, RepetitionsAveraged) {
   ExperimentResult r = RunExperiment(p);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.rep_times_ms.size(), 3u);
+  EXPECT_EQ(r.rep_rows.size(), 3u);
   double sum = 0;
   for (const double t : r.rep_times_ms) sum += t;
   EXPECT_NEAR(r.response_ms, sum / 3.0, 1e-9);
