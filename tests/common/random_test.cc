@@ -49,6 +49,43 @@ TEST(RngTest, NextBelowOneAlwaysZero) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.NextBelow(1), 0u);
 }
 
+// Pins the NextBelow stream, so that a faster bounded draw (constant
+// bounds folded at compile time) must return exactly the same values.
+TEST(RngTest, NextBelowStreamIsPinned) {
+  const uint64_t want20[64] = {
+      17, 2,  0,  3,  11, 2, 6,  9,  1,  8,  1,  10, 1,  13, 11, 9,
+      15, 11, 0,  7,  5,  17, 17, 10, 14, 0, 3,  8,  5,  19, 9,  16,
+      1,  19, 4,  6,  12, 2, 11, 13, 12, 3, 8,  17, 1,  15, 8,  19,
+      18, 1,  1,  1,  15, 3, 12, 14, 3,  0, 1,  4,  19, 5,  3,  2};
+  const uint64_t want17[64] = {
+      10, 12, 5,  5,  4,  14, 6,  8,  12, 12, 8,  11, 12, 2,  4,  7,
+      10, 5,  16, 6,  5,  2,  3,  5,  1,  16, 8,  9,  2,  3,  13, 6,
+      7,  4,  3,  8,  12, 12, 5,  2,  2,  7,  13, 10, 8,  12, 12, 10,
+      8,  2,  1,  10, 8,  8,  8,  10, 10, 9,  7,  12, 10, 3,  1,  11};
+  // Literal bounds and a bound only known at run time draw alike.
+  volatile uint64_t runtime20 = 20, runtime17 = 17;
+  Rng a(1), b(1), c(1), d(1);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(a.NextBelow(20), want20[i]) << "draw " << i;
+    EXPECT_EQ(b.NextBelow(runtime20), want20[i]) << "draw " << i;
+    EXPECT_EQ(c.NextBelow(17), want17[i]) << "draw " << i;
+    EXPECT_EQ(d.NextBelow(runtime17), want17[i]) << "draw " << i;
+  }
+}
+
+// A bound just above 2^63 rejects about half of all raw draws (seed 1's
+// first three among them), so this pins the rejection loop as well.
+TEST(RngTest, NextBelowRejectionIsPinned) {
+  const uint64_t want[8] = {
+      7218738570589545383ULL, 2648436617965840162ULL, 1310552918490157286ULL,
+      7031611932980406429ULL, 1484150211974036615ULL, 9063990983673329711ULL,
+      845232928428614080ULL,  1176429380546917807ULL};
+  Rng rng(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.NextBelow((1ULL << 63) + 1), want[i]) << "draw " << i;
+  }
+}
+
 TEST(RngTest, NextIntInclusiveRange) {
   Rng rng(11);
   bool saw_lo = false, saw_hi = false;
