@@ -149,17 +149,34 @@ void CheckResults(const std::multiset<std::string>& oracle,
                   const std::vector<Tuple>& actual, bool failures_injected,
                   uint64_t resent_tuples, size_t max_fanout,
                   std::vector<std::string>* violations) {
-  std::multiset<std::string> got;
-  for (const Tuple& t : actual) got.insert(t.ToString());
+  std::vector<std::string> got;
+  got.reserve(actual.size());
+  for (const Tuple& t : actual) got.push_back(t.ToString());
+  std::sort(got.begin(), got.end());
 
-  // Nothing may ever be lost, failures or not.
+  // One merged walk over the two sorted sequences visits each distinct row
+  // once, in order, with its wanted and delivered counts. Nothing may ever
+  // be lost, failures or not. Extras: exact equality without failures;
+  // with failures, at most the replayed tuples times their worst-case
+  // fanout.
   std::vector<std::string> missing;
-  for (auto it = oracle.begin(); it != oracle.end();
-       it = oracle.upper_bound(*it)) {
-    const size_t want = oracle.count(*it);
-    const size_t have = got.count(*it);
+  std::vector<std::string> extra;
+  auto want_it = oracle.begin();
+  auto have_it = got.begin();
+  while (want_it != oracle.end() || have_it != got.end()) {
+    const std::string& row =
+        have_it == got.end() ||
+                (want_it != oracle.end() && *want_it < *have_it)
+            ? *want_it
+            : *have_it;
+    size_t want = 0;
+    for (; want_it != oracle.end() && *want_it == row; ++want_it) ++want;
+    size_t have = 0;
+    for (; have_it != got.end() && *have_it == row; ++have_it) ++have;
     if (have < want) {
-      missing.push_back(StrCat(*it, " (want ", want, ", got ", have, ")"));
+      missing.push_back(StrCat(row, " (want ", want, ", got ", have, ")"));
+    } else if (have > want) {
+      extra.push_back(StrCat(row, " (want ", want, ", got ", have, ")"));
     }
   }
   if (!missing.empty()) {
@@ -167,16 +184,6 @@ void CheckResults(const std::multiset<std::string>& oracle,
                                  Preview(missing)));
   }
 
-  // Extras: exact equality without failures; with failures, at most the
-  // replayed tuples times their worst-case fanout.
-  std::vector<std::string> extra;
-  for (auto it = got.begin(); it != got.end(); it = got.upper_bound(*it)) {
-    const size_t want = oracle.count(*it);
-    const size_t have = got.count(*it);
-    if (have > want) {
-      extra.push_back(StrCat(*it, " (want ", want, ", got ", have, ")"));
-    }
-  }
   const uint64_t budget =
       failures_injected ? resent_tuples * static_cast<uint64_t>(max_fanout)
                         : 0;

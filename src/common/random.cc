@@ -34,17 +34,6 @@ uint64_t Rng::Next() {
   return result;
 }
 
-uint64_t Rng::NextBelow(uint64_t n) {
-  assert(n > 0);
-  // Rejection sampling to remove modulo bias.
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-  uint64_t v;
-  do {
-    v = Next();
-  } while (v >= limit);
-  return v % n;
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;

@@ -6,6 +6,7 @@
 #ifndef GRIDQP_COMMON_RANDOM_H_
 #define GRIDQP_COMMON_RANDOM_H_
 
+#include <cassert>
 #include <cstdint>
 
 namespace gqp {
@@ -22,8 +23,19 @@ class Rng {
   /// Uniform 64-bit value.
   uint64_t Next();
 
-  /// Uniform in [0, n). Precondition: n > 0.
-  uint64_t NextBelow(uint64_t n);
+  /// Uniform in [0, n). Precondition: n > 0. Defined inline so that at a
+  /// call site with a constant bound the rejection limit folds at compile
+  /// time and `% n` becomes a multiply; the draws are the same either way.
+  uint64_t NextBelow(uint64_t n) {
+    assert(n > 0);
+    // Rejection sampling to remove modulo bias.
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    uint64_t v;
+    do {
+      v = Next();
+    } while (v >= limit);
+    return v % n;
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
