@@ -127,7 +127,17 @@ Pairs AllPairs(const std::string& pattern, const Keys& frags) {
 
 // --- parameter deltas -----------------------------------------------------
 
-void Static(ExperimentParams& p) { p.adaptivity = false; }
+// With adaptivity off its knobs change nothing, so they are reset to the
+// defaults: static cells that differ only there intern to one run.
+void Static(ExperimentParams& p) {
+  const ExperimentParams defaults;
+  p.adaptivity = false;
+  p.assessment = defaults.assessment;
+  p.response = defaults.response;
+  p.thres_m = defaults.thres_m;
+  p.thres_a = defaults.thres_a;
+  p.med_window = defaults.med_window;
+}
 
 PerturbSpec FactorSpec(int evaluator, double factor) {
   return {evaluator, PerturbSpec::Kind::kFactor, factor, 0, 0, 0, 0, 0};
