@@ -15,7 +15,7 @@
 
 #include "common/strings.h"
 
-#include "workload/experiment.h"
+#include "chaos/runner.h"
 
 namespace gqp::bench {
 
@@ -49,8 +49,11 @@ inline void Banner(const std::string& title, const std::string& detail) {
   std::printf("==============================================================\n");
 }
 
-/// Runs an experiment, printing an error and aborting the binary on
-/// failure (a bench that cannot execute its workload must not report).
+/// Runs a paper cell through RunExperiment (chaos/runner.h: each
+/// repetition is a zero-fault chaos scenario held to the runner's
+/// invariants), printing the error and aborting the binary on failure (a
+/// bench that cannot execute its workload, or returns a wrong result, must
+/// not report).
 inline ExperimentResult MustRun(const ExperimentParams& params) {
   ExperimentResult result = RunExperiment(params);
   if (!result.ok) {

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
           first.stats.peak_outstanding_credit_bytes),
       first.stats.first_pressure_proposal_ms,
       first.stats.first_rate_proposal_ms);
-  if (scenario.standby) {
+  if (scenario.coordinator_standby) {
     std::printf(
         "mirror: entries=%llu acked=%llu lag=%llu stale_epoch_dropped=%llu "
         "epoch_updates=%llu\n",

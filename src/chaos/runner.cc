@@ -107,35 +107,33 @@ std::string ChaosRunResult::Report() const {
   std::string out;
   if (!status.ok()) out = StrCat("run error: ", status.ToString(), "\n");
   for (const std::string& v : violations) out += v + "\n";
+  if (!ok()) out += StrCat("repro: ", repro, "\n");
   return out;
 }
 
 ChaosRunResult RunScenario(const ChaosScenario& scenario,
                            const ChaosRunOptions& options) {
   ChaosRunResult result;
-  const std::string repro =
+  result.repro =
       ReproCommand(scenario.seed, scenario.profile, scenario.vector_batch_size);
 
   GridOptions grid_options;
   grid_options.num_evaluators = scenario.num_evaluators;
   grid_options.evaluator_capacities = scenario.capacities;
   grid_options.link = scenario.initial_link;
-  grid_options.adaptive = true;
+  grid_options.adaptive = scenario.adaptivity;
   grid_options.med.window = scenario.med_window;
   grid_options.med.thres_m = scenario.thres_m;
-  // Failure detection + reliable control plane run in EVERY chaos
-  // scenario: crashes must be discovered through missed heartbeats, never
-  // reported by the harness.
-  grid_options.detect.enabled = true;
+  grid_options.detect.enabled = scenario.failure_detection;
   grid_options.detect.heartbeat_interval_ms = scenario.heartbeat_interval_ms;
-  grid_options.reliable.enabled = true;
+  grid_options.reliable.enabled = scenario.failure_detection;
   grid_options.loss_rate = scenario.loss_rate;
   grid_options.loss_seed = scenario.seed ^ 0x1055C0DEULL;
-  grid_options.standby_enabled = scenario.standby;
-  // Admission control (D16) is on iff the workload is the tenant storm.
-  // Each admitted query's share of the global pool lands near the
-  // scenario's per-query budget.
-  grid_options.admission.enabled = scenario.storm_tenants > 0;
+  grid_options.standby_enabled = scenario.coordinator_standby;
+  // Admission control (D16) is on iff the scenario caps concurrency. Each
+  // admitted query's share of the global pool lands near the scenario's
+  // per-query budget.
+  grid_options.admission.enabled = scenario.storm_max_concurrent > 0;
   grid_options.admission.max_concurrent_queries = scenario.storm_max_concurrent;
   grid_options.admission.queue_capacity =
       static_cast<size_t>(scenario.storm_queue_capacity);
@@ -153,8 +151,7 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   recorder.Attach(sim);
   sim->set_max_events(options.max_events);
 
-  // Datasets, seeded from the scenario (same derivation as the experiment
-  // harness so chaos results stay comparable to the paper runs).
+  // Datasets, seeded from the scenario.
   ProteinSequencesSpec seq_spec;
   seq_spec.num_rows = scenario.sequences;
   seq_spec.sequence_length = scenario.sequence_length;
@@ -215,7 +212,7 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   }
 
   QueryOptions query_options;
-  query_options.adaptivity.enabled = true;
+  query_options.adaptivity.enabled = scenario.adaptivity;
   query_options.adaptivity.assessment = scenario.assessment;
   query_options.adaptivity.response = scenario.response;
   query_options.adaptivity.thres_a = scenario.thres_a;
@@ -224,11 +221,16 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
   query_options.exec.m1_frequency = scenario.m1_frequency;
   query_options.exec.checkpoint_interval = scenario.checkpoint_interval;
   query_options.exec.buffer_tuples = scenario.buffer_tuples;
-  query_options.exec.monitoring_enabled = true;
-  query_options.exec.recovery_log_enabled = true;
+  query_options.exec.monitoring_enabled = scenario.adaptivity;
+  query_options.exec.recovery_log_enabled = scenario.adaptivity;
   query_options.exec.flow_control_enabled = scenario.flow_control;
   query_options.exec.memory_budget_bytes = scenario.memory_budget_bytes;
   query_options.exec.vector_batch_size = scenario.vector_batch_size;
+  query_options.optimizer.costs.scan_cost_ms = scenario.scan_cost_ms;
+  query_options.optimizer.costs.join_probe_cost_ms =
+      scenario.join_probe_cost_ms;
+  query_options.optimizer.costs.join_build_cost_ms =
+      scenario.join_build_cost_ms;
   query_options.scheduler.num_evaluators = scenario.num_evaluators;
   query_options.deadline_ms = scenario.deadline_ms;
 
@@ -381,16 +383,16 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
       records.begin(), records.end(),
       [&](const DriverQueryRecord& r) { return allowed(r.outcome); });
 
-  std::vector<std::string> violations;
+  std::vector<std::string>& violations = result.violations;
   if (!run_status.ok()) {
     std::string executors;
     for (const DriverQueryRecord& record : records) {
       if (record.outcome != gqp::QueryOutcome::kUnresolved) continue;
       executors += DumpExecutors(&grid, final_id(record.query_id));
     }
-    result.violations.push_back(
+    violations.push_back(
         StrCat("[termination] simulator did not drain: ",
-               run_status.ToString(), " — repro: ", repro, executors));
+               run_status.ToString(), executors));
     return result;
   }
 
@@ -514,11 +516,134 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
     }
   }
 
-  for (std::string& v : violations) {
-    result.violations.push_back(StrCat(v, " — repro: ", repro));
-  }
   return result;
 }
 
 }  // namespace chaos
+
+namespace {
+
+// The calibrated per-tuple costs of the paper runs (EXPERIMENTS.md); Q2
+// ships its tuples through slower GDS wrappers.
+constexpr double kPaperScanCostMs = 0.30;
+constexpr double kPaperQ2ScanCostMs = 3.5;
+constexpr double kPaperJoinProbeCostMs = 1.0;
+constexpr double kPaperJoinBuildCostMs = 0.5;
+/// Correlation time of the unperturbed evaluators' load drift.
+constexpr double kDriftTauMs = 250.0;
+
+/// One repetition of a paper cell as a zero-fault scenario: its explicit
+/// perturbations and the drift of every other evaluator install at t=0;
+/// no failures, link shifts, partitions or stalls.
+chaos::ChaosScenario CellScenario(const ExperimentParams& params,
+                                  uint64_t seed) {
+  using Kind = chaos::PerturbationEvent::Kind;
+  chaos::ChaosScenario s;
+  static_cast<RunSpec&>(s) = params;
+  s.seed = seed;
+  s.scan_cost_ms = params.query == QueryKind::kQ2 ? kPaperQ2ScanCostMs
+                                                  : kPaperScanCostMs;
+  s.join_probe_cost_ms = kPaperJoinProbeCostMs;
+  s.join_build_cost_ms = kPaperJoinBuildCostMs;
+  if (params.admission_control) {
+    const AdmissionConfig defaults;
+    s.storm_queue_capacity = static_cast<int>(defaults.queue_capacity);
+    s.storm_max_concurrent = defaults.max_concurrent_queries;
+    s.storm_per_tenant_cap = defaults.per_tenant_inflight_cap;
+  }
+  std::vector<bool> perturbed(static_cast<size_t>(params.num_evaluators),
+                              false);
+  for (const PerturbSpec& spec : params.perturbations) {
+    perturbed[static_cast<size_t>(spec.evaluator)] = true;
+    // kNone stays the event's default: a constant factor of 1.
+    chaos::PerturbationEvent ev;
+    ev.evaluator = spec.evaluator;
+    ev.profile_seed = seed + 77 + static_cast<uint64_t>(spec.evaluator);
+    switch (spec.kind) {
+      case PerturbSpec::Kind::kNone:
+        break;
+      case PerturbSpec::Kind::kFactor:
+        ev.p0 = spec.factor;
+        if (params.noise_stddev > 0) {
+          ev.kind = Kind::kGaussianFactor;
+          ev.p1 = spec.factor * params.noise_stddev;
+          ev.p2 = spec.factor * 0.5;
+          ev.p3 = spec.factor * 1.5;
+        }
+        break;
+      case PerturbSpec::Kind::kSleep:
+        ev.kind = Kind::kAddedDelay;
+        ev.p0 = spec.sleep_ms;
+        break;
+      case PerturbSpec::Kind::kGaussianFactor:
+        ev.kind = Kind::kGaussianFactor;
+        ev.p0 = spec.mean;
+        ev.p1 = spec.stddev;
+        ev.p2 = spec.lo;
+        ev.p3 = spec.hi;
+        break;
+    }
+    s.perturbations.push_back(std::move(ev));
+  }
+  for (int i = 0; i < params.num_evaluators && params.drift_sigma > 0; ++i) {
+    if (perturbed[static_cast<size_t>(i)]) continue;
+    chaos::PerturbationEvent drift;
+    drift.evaluator = i;
+    drift.kind = Kind::kDrift;
+    drift.p0 = params.drift_sigma;
+    drift.p1 = kDriftTauMs;
+    drift.profile_seed = seed + 177 + static_cast<uint64_t>(i);
+    s.perturbations.push_back(std::move(drift));
+  }
+  return s;
+}
+
+}  // namespace
+
+ExperimentResult RunExperiment(const ExperimentParams& params) {
+  ExperimentResult result;
+  for (const PerturbSpec& spec : params.perturbations) {
+    if (spec.evaluator < 0 || spec.evaluator >= params.num_evaluators) {
+      result.error =
+          Status::OutOfRange(StrCat("paper cell '", params.name,
+                                    "': perturbation targets unknown "
+                                    "evaluator ",
+                                    spec.evaluator))
+              .ToString();
+      return result;
+    }
+  }
+  double total = 0.0;
+  for (int rep = 0; rep < params.repetitions; ++rep) {
+    const uint64_t seed = params.seed + static_cast<uint64_t>(rep);
+    const chaos::ChaosRunResult run =
+        chaos::RunScenario(CellScenario(params, seed));
+    if (!run.ok() || run.per_query.empty() || !run.per_query[0].completed) {
+      // The report names the cell, not a chaos_repro command: no
+      // generated scenario reproduces a paper cell.
+      result.error = StrCat("paper cell '", params.name, "' repetition seed ",
+                            seed, ":");
+      if (!run.status.ok()) result.error += StrCat(" ", run.status.ToString());
+      for (const std::string& v : run.violations) {
+        result.error += StrCat(" ", v);
+      }
+      if (run.ok()) result.error += " the query did not complete";
+      return result;
+    }
+    result.rep_times_ms.push_back(run.response_ms);
+    result.rep_rows.push_back(run.result_rows.size());
+    result.stats = run.stats;
+    total += run.response_ms;
+  }
+  result.ok = true;
+  result.response_ms = total / static_cast<double>(params.repetitions);
+  return result;
+}
+
+double Normalized(const ExperimentResult& result,
+                  const ExperimentResult& baseline) {
+  if (!result.ok || !baseline.ok || baseline.response_ms <= 0) return 0.0;
+  return result.response_ms / baseline.response_ms;
+}
+
 }  // namespace gqp

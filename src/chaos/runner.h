@@ -4,9 +4,13 @@
 // and checks the system invariants of invariants.h. The workload is the
 // base query plus any concurrent ones, or a tenant storm's open-loop
 // arrivals under admission control; every profile runs through the same
-// code and the same checks. Any violation carries the one-line repro
-// command, so a red sweep entry is immediately replayable:
+// code and the same checks. A red run's report ends with the one-line
+// repro command, so a red sweep entry is immediately replayable:
 // `chaos_repro --seed=N`.
+//
+// The paper's evaluation cells (ExperimentParams) run through the same
+// runner: RunExperiment turns each repetition into a zero-fault scenario,
+// so every paper cell is held to the same invariants.
 
 #ifndef GRIDQP_CHAOS_RUNNER_H_
 #define GRIDQP_CHAOS_RUNNER_H_
@@ -100,8 +104,11 @@ struct ChaosRunResult {
   /// Only populated with ChaosRunOptions::keep_trace.
   std::string trace;
 
+  /// The command that replays the scenario (`chaos_repro --seed=N ...`).
+  std::string repro;
+
   bool ok() const { return status.ok() && violations.empty(); }
-  /// Violations joined into one report, repro command included.
+  /// Violations joined into one report; a red one ends with the repro.
   std::string Report() const;
 };
 
@@ -114,6 +121,52 @@ ChaosRunResult RunScenario(const ChaosScenario& scenario,
                            const ChaosRunOptions& options = {});
 
 }  // namespace chaos
+
+/// \brief One cell of the paper's evaluation (§3): a query under fixed
+/// perturbations, averaged over seeded repetitions.
+struct ExperimentParams : RunSpec {
+  /// Labels errors; never changes the run.
+  std::string name;
+  /// Installed at t=0 on the query's perturb tag.
+  std::vector<PerturbSpec> perturbations;
+  /// Mild per-tuple noise factor (relative stddev) applied to explicitly
+  /// perturbed evaluators on top of their constant factor. 0 disables.
+  double noise_stddev = 0.05;
+  /// Natural load fluctuation on unperturbed evaluators: the stationary
+  /// stddev of the log cost factor (Ornstein-Uhlenbeck drift). Models the
+  /// paper's "slight fluctuations ... of a real wide-area environment"
+  /// that occasionally trigger adaptations even without injected
+  /// imbalance. 0 disables.
+  double drift_sigma = 0.35;
+  /// GDQS admission control (D16) with its default caps — wide enough
+  /// that a single query admits instantly.
+  bool admission_control = false;
+  int repetitions = 3;
+
+  bool operator==(const ExperimentParams&) const = default;
+};
+
+struct ExperimentResult {
+  bool ok = false;
+  std::string error;
+  /// Mean response time over repetitions (virtual ms).
+  double response_ms = 0.0;
+  std::vector<double> rep_times_ms;
+  /// Result cardinality of each repetition, in repetition order.
+  std::vector<size_t> rep_rows;
+  /// Stats from the last repetition.
+  QueryStatsSnapshot stats;
+};
+
+/// Runs the cell. Repetition `rep` is the zero-fault chaos scenario of
+/// seed `seed + rep`, checked against invariants (a), (b) and (d); a
+/// violation fails the cell, naming it and the repetition's seed.
+ExperimentResult RunExperiment(const ExperimentParams& params);
+
+/// response / baseline, guarding division by zero.
+double Normalized(const ExperimentResult& result,
+                  const ExperimentResult& baseline);
+
 }  // namespace gqp
 
 #endif  // GRIDQP_CHAOS_RUNNER_H_

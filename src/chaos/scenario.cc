@@ -140,7 +140,7 @@ std::string ChaosScenario::Describe() const {
     }
     out += "]";
   }
-  if (standby) {
+  if (coordinator_standby) {
     out += " standby=on";
     if (coordinator_kill) out += StrCat(" coordkill=t", coordinator_kill_at_ms);
     if (deadline_ms > 0) out += StrCat(" deadline=", deadline_ms);
@@ -174,6 +174,10 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
   ChaosScenario s;
   s.seed = seed;
   s.profile = profile;
+  // Every chaos run adapts and detects crashes through missed heartbeats
+  // (set, not drawn: the draw sequence stays the same).
+  s.adaptivity = true;
+  s.failure_detection = true;
 
   s.query = rng.NextBool(0.5) ? QueryKind::kQ1 : QueryKind::kQ2;
   s.sequences = static_cast<size_t>(rng.NextInt(150, 600));
@@ -402,7 +406,7 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
     // evaluator kills are cleared so a kill-free reference run of the
     // same seed produces the exact rows the failover run must reproduce.
     s.failures.clear();
-    s.standby = true;
+    s.coordinator_standby = true;
     s.coordinator_kill = true;
     s.coordinator_kill_at_ms = coord_kill_at_ms;
     s.deadline_ms = coord_deadline_ms;

@@ -18,9 +18,59 @@
 
 #include "adapt/adaptivity_config.h"
 #include "net/network.h"
+#include "plan/cost_model.h"
 #include "workload/experiment.h"
 
 namespace gqp {
+
+/// \brief What every run is built from, paper cell (ExperimentParams) or
+/// chaos scenario (ChaosScenario): the query, the datasets, the grid and
+/// the adaptivity knobs. The defaults are the paper's set-up
+/// (EXPERIMENTS.md).
+struct RunSpec {
+  QueryKind query = QueryKind::kQ1;
+
+  // --- datasets -----------------------------------------------------------
+  /// protein_sequences cardinality (paper: 3000; Fig. 3(b): 6000).
+  size_t sequences = 3000;
+  /// protein_interactions cardinality (paper: 4700).
+  size_t interactions = 4700;
+  size_t sequence_length = 200;
+  /// Nominal cost of one EntropyAnalyser web-service call.
+  double ws_cost_ms = 0.21;
+
+  // --- grid ---------------------------------------------------------------
+  int num_evaluators = 2;
+  /// Heartbeat failure detection and the reliable control-plane transport.
+  /// On in every generated scenario: crashes must be discovered through
+  /// missed heartbeats, never reported by the harness.
+  bool failure_detection = false;
+  /// Credit-based flow control (D11): bounded queues under a per-query
+  /// memory budget split evenly across exchange links (0 = unlimited
+  /// window: the credit machinery idles even with flow control on).
+  bool flow_control = false;
+  size_t memory_budget_bytes = 0;
+  /// Replicated-coordinator mode (D14): a standby GDQS mirrors every
+  /// coordinator decision over the control plane; when off, nothing
+  /// failover-related exists.
+  bool coordinator_standby = false;
+
+  // --- adaptivity -----------------------------------------------------------
+  /// Off: no MEDs, no monitoring and no recovery logs (the static system).
+  bool adaptivity = true;
+  AssessmentType assessment = AssessmentType::kA1;
+  ResponseType response = ResponseType::kProspective;
+  size_t m1_frequency = 10;
+  size_t med_window = 25;
+  double thres_m = 0.20;
+  double thres_a = 0.20;
+
+  /// Seeds the datasets and every seeded profile of the run.
+  uint64_t seed = 1;
+
+  bool operator==(const RunSpec&) const = default;
+};
+
 namespace chaos {
 
 /// Installs (or clears) a perturbation profile on one evaluator at a
@@ -120,43 +170,32 @@ struct ConcurrentQuery {
 };
 
 /// \brief A complete seeded chaos scenario.
-struct ChaosScenario {
-  uint64_t seed = 0;
+///
+/// The run description it shares with a paper cell lives in RunSpec;
+/// GenerateScenario draws or sets every one of those fields.
+struct ChaosScenario : RunSpec {
   ChaosProfile profile = ChaosProfile::kStandard;
 
-  // --- workload ---------------------------------------------------------
-  QueryKind query = QueryKind::kQ1;
-  size_t sequences = 300;
-  size_t interactions = 450;
-  size_t sequence_length = 32;
-  double ws_cost_ms = 0.2;
-
   // --- grid -------------------------------------------------------------
-  int num_evaluators = 2;
   std::vector<double> capacities;
   LinkParams initial_link;
 
-  // --- engine / adaptivity knobs ---------------------------------------
-  AssessmentType assessment = AssessmentType::kA1;
-  ResponseType response = ResponseType::kRetrospective;
+  // --- engine knobs -----------------------------------------------------
   size_t checkpoint_interval = 25;
-  size_t m1_frequency = 10;
-  size_t med_window = 25;
   size_t buffer_tuples = 50;
-  double thres_m = 0.20;
-  double thres_a = 0.20;
+
+  // --- optimiser costs ---------------------------------------------------
+  /// Per-tuple plan costs: the CostModel defaults, which chaos runs keep;
+  /// paper cells set the calibration of EXPERIMENTS.md.
+  double scan_cost_ms = CostModel{}.scan_cost_ms;
+  double join_probe_cost_ms = CostModel{}.join_probe_cost_ms;
+  double join_build_cost_ms = CostModel{}.join_build_cost_ms;
 
   // --- failure detection / lossy fabric ---------------------------------
   /// Uniform drop probability of every remote message (0 in the standard
   /// profile: legacy seeds keep their meaning).
   double loss_rate = 0.0;
   double heartbeat_interval_ms = 5.0;
-
-  // --- flow control (D11) ------------------------------------------------
-  /// Credit-based flow control (off in the legacy profiles: their seeds
-  /// keep byte-identical schedules).
-  bool flow_control = false;
-  size_t memory_budget_bytes = 0;
 
   // --- batch execution (D13) ---------------------------------------------
   /// Rows per operator batch. GenerateScenario leaves the default of 1
@@ -171,10 +210,6 @@ struct ChaosScenario {
   std::vector<ConcurrentQuery> extra_queries;
 
   // --- coordinator failover (D14) ----------------------------------------
-  /// Run with a standby GDQS mirroring the primary. Only the
-  /// kCoordinatorKill profile sets it; legacy profiles stay standby-free
-  /// and keep byte-identical traces.
-  bool standby = false;
   /// Crash the primary coordinator at `coordinator_kill_at_ms`.
   bool coordinator_kill = false;
   double coordinator_kill_at_ms = 0.0;
@@ -184,7 +219,7 @@ struct ChaosScenario {
   // --- multi-tenant storm (D16) ------------------------------------------
   /// Open-loop tenants replacing the base query as the workload, under
   /// GDQS admission control. Only the kTenantStorm profile sets it; 0
-  /// (every other profile) means no storm and no admission control.
+  /// (every other profile) means no storm.
   int storm_tenants = 0;
   /// Sustained per-tenant arrival rate; tenant 0 additionally bursts at
   /// `storm_burst_multiplier` times that rate in periodic windows.
@@ -193,6 +228,8 @@ struct ChaosScenario {
   /// Arrivals are generated in [0, storm_horizon_ms).
   double storm_horizon_ms = 0.0;
   /// Bounded admission queue + concurrency caps (AdmissionConfig).
+  /// Admission control is on iff `storm_max_concurrent` > 0: the storm
+  /// draws the caps, a paper cell with admission takes the defaults.
   int storm_queue_capacity = 0;
   int storm_max_concurrent = 0;
   int storm_per_tenant_cap = 0;

@@ -24,7 +24,7 @@ TEST_P(CoordinatorKillSweepTest, TakeoverPreservesResults) {
   const uint64_t seed = GetParam();
   const ChaosScenario scenario =
       GenerateScenario(seed, ChaosProfile::kCoordinatorKill);
-  ASSERT_TRUE(scenario.standby);
+  ASSERT_TRUE(scenario.coordinator_standby);
   ASSERT_TRUE(scenario.coordinator_kill);
   ASSERT_TRUE(scenario.failures.empty());
 

@@ -1,4 +1,4 @@
-#include "workload/experiment.h"
+#include "chaos/runner.h"
 
 #include <gtest/gtest.h>
 
@@ -69,6 +69,10 @@ TEST(ExperimentTest, InvalidPerturbationTargetFails) {
   p.perturbations = {{9, PerturbSpec::Kind::kFactor, 10, 0, 0, 0, 0, 0}};
   ExperimentResult r = RunExperiment(p);
   EXPECT_FALSE(r.ok);
+  // Rejected before any grid is built, naming the cell.
+  EXPECT_EQ(r.error.rfind("OutOfRange", 0), 0u) << r.error;
+  EXPECT_NE(r.error.find("test-q1"), std::string::npos) << r.error;
+  EXPECT_TRUE(r.rep_times_ms.empty());
 }
 
 TEST(ExperimentTest, NormalizedHelper) {
