@@ -1,7 +1,7 @@
 #include "chaos/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 
 namespace gqp {
@@ -18,20 +18,23 @@ void EventTraceRecorder::Detach(Simulator* sim) {
 
 void EventTraceRecorder::Record(SimTime time, EventId id) {
   // Exact bit pattern of the timestamp: two traces are equal iff the runs
-  // were (no rounding ambiguity).
+  // were (no rounding ambiguity). The line is "%016llx:%llu\n", rendered
+  // without printf: it runs once per dispatched event.
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(time));
   std::memcpy(&bits, &time, sizeof(bits));
-  char line[48];
-  const int n = std::snprintf(line, sizeof(line), "%016llx:%llu\n",
-                              static_cast<unsigned long long>(bits),
-                              static_cast<unsigned long long>(id));
-  for (int i = 0; i < n; ++i) {
-    hash_ ^= static_cast<unsigned char>(line[i]);
+  static constexpr char kHex[] = "0123456789abcdef";
+  char line[40];
+  for (int i = 0; i < 16; ++i) line[i] = kHex[(bits >> (60 - 4 * i)) & 0xF];
+  line[16] = ':';
+  char* end = std::to_chars(line + 17, line + sizeof(line) - 1, id).ptr;
+  *end++ = '\n';
+  for (const char* c = line; c != end; ++c) {
+    hash_ ^= static_cast<unsigned char>(*c);
     hash_ *= 1099511628211ULL;  // FNV-1a prime
   }
   ++events_;
-  if (keep_full_) trace_.append(line, static_cast<size_t>(n));
+  if (keep_full_) trace_.append(line, end);
 }
 
 size_t FirstTraceDivergence(const std::string& a, const std::string& b) {

@@ -35,14 +35,15 @@ class EventTraceRecorder {
   /// Removes the sink. Safe to call when not attached.
   static void Detach(Simulator* sim);
 
+  /// Appends one dispatched event (the simulator's trace sink calls it).
+  void Record(SimTime time, EventId id);
+
   uint64_t hash() const { return hash_; }
   uint64_t events() const { return events_; }
   /// Empty unless constructed with keep_full = true.
   const std::string& trace() const { return trace_; }
 
  private:
-  void Record(SimTime time, EventId id);
-
   bool keep_full_;
   uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
   uint64_t events_ = 0;

@@ -71,6 +71,28 @@ TEST(TraceDivergenceTest, ReportsFirstDifferingLine) {
   EXPECT_EQ(FirstTraceDivergence("", "x\n"), 1u);
 }
 
+// Every golden fingerprint is an FNV-1a hash over these lines: the bytes
+// must not change, whatever renders them.
+TEST(EventTraceRecorderTest, LinesAndHashArePinned) {
+  EventTraceRecorder full(/*keep_full=*/true);
+  EventTraceRecorder hash_only;
+  for (EventTraceRecorder* recorder : {&full, &hash_only}) {
+    recorder->Record(0.0, 0);
+    recorder->Record(1.5, 1);
+    recorder->Record(123.456, 4294967296ULL);  // an id >= 2^32
+    recorder->Record(0.1, UINT64_MAX);
+  }
+  EXPECT_EQ(full.trace(),
+            "0000000000000000:0\n"
+            "3ff8000000000000:1\n"
+            "405edd2f1a9fbe77:4294967296\n"
+            "3fb999999999999a:18446744073709551615\n");
+  EXPECT_EQ(full.hash(), 0xb2b3f488bbddb4c0ULL);
+  EXPECT_EQ(full.events(), 4u);
+  EXPECT_EQ(hash_only.hash(), full.hash());
+  EXPECT_EQ(hash_only.trace(), "");
+}
+
 }  // namespace
 }  // namespace chaos
 }  // namespace gqp
