@@ -254,8 +254,8 @@ std::vector<Figure> PaperFigures() {
                 Policy("A1+R1", "A1_R1_*", kQ1, kA1, kR1, false),
                 Policy("A2+R2", "A2_R2_*", kQ1, AssessmentType::kA2, kR2,
                        false)},
-       .claims = {AtMost("A1+R2 ≤ A2+R2 at every factor",
-                         Over("A1_R2_*x", "A2_R2_*x", factors), 1.0),
+       .claims = {Less("A1+R2 < A2+R2 at every factor",
+                       Over("A1_R2_*x", "A2_R2_*x", factors)),
                   Less("A1+R1 < A1+R2 at 20× and 30×",
                        Over("A1_R1_*x", "A1_R2_*x", {"20", "30"})),
                   AtMost("A1+R1 stays flat: 30× / 10× ≤ 1.10",
