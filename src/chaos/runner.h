@@ -159,8 +159,9 @@ struct ExperimentResult {
 };
 
 /// Runs the cell. Repetition `rep` is the zero-fault chaos scenario of
-/// seed `seed + rep`, checked against invariants (a), (b) and (d); a
-/// violation fails the cell, naming it and the repetition's seed.
+/// seed `seed + rep`, checked like any scenario: (a) results, (b)
+/// conservation, (d) termination, and (f) under flow control. A violation
+/// fails the cell, naming it and the repetition's seed.
 ExperimentResult RunExperiment(const ExperimentParams& params);
 
 /// response / baseline, guarding division by zero.
