@@ -618,7 +618,8 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
     const uint64_t seed = params.seed + static_cast<uint64_t>(rep);
     const chaos::ChaosRunResult run =
         chaos::RunScenario(CellScenario(params, seed));
-    if (!run.ok() || run.per_query.empty() || !run.per_query[0].completed) {
+    // A clean run without a base-query outcome was rejected by admission.
+    if (!run.ok() || run.per_query.empty()) {
       // The report names the cell, not a chaos_repro command: no
       // generated scenario reproduces a paper cell.
       result.error = StrCat("paper cell '", params.name, "' repetition seed ",
