@@ -131,6 +131,25 @@ TEST(ScenarioTest, DescribeMentionsInjectedChaos) {
   EXPECT_TRUE(saw_perturbation);
 }
 
+TEST(ScenarioTest, StormDescribeIsPinned) {
+  // The storm's one-line summary is what a red tenant-storm sweep entry
+  // prints; however the storm is stored, it must render the same.
+  EXPECT_EQ(
+      GenerateScenario(401, ChaosProfile::kTenantStorm).Describe(),
+      "seed=401 query=Q2 rows=80/120 evals=4 "
+      "caps=[0.669369,1.38457,1.26261,1.42799] link=1.69664ms/17209.6 "
+      "assess=A2 resp=R1 ckpt=25 m1=1 med=10 buf=10 fail=[t120.698:e3] "
+      "fc=on budget=28672 storm=[tenants=2 rate=19.6382qps burst=3.99164x "
+      "horizon=549.748ms queue=7 conc=3 pertenant=2 deadline=6941.66]");
+  EXPECT_EQ(
+      GenerateScenario(415, ChaosProfile::kTenantStorm).Describe(),
+      "seed=415 query=Q1 rows=80/120 evals=2 caps=[1.87349,1.54135] "
+      "link=1.99471ms/17829.8 assess=A1 resp=R1 ckpt=50 m1=1 med=10 buf=25 "
+      "fail=[t84.6726:e0] fc=on budget=25600 storm=[tenants=3 "
+      "rate=11.5378qps burst=2.78082x horizon=778.955ms queue=4 conc=4 "
+      "pertenant=2 deadline=4081.02]");
+}
+
 }  // namespace
 }  // namespace chaos
 }  // namespace gqp
