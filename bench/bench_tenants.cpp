@@ -14,27 +14,23 @@
 //  4. determinism: the admission-on overload run, repeated with the same
 //     seed, renders a byte-identical workload report.
 //
+// Each run is a preset over chaos::RunScenario, so every completed query
+// is also held to the runner's invariants (results, conservation,
+// monitoring attribution) and admission runs to the admission ledger.
+//
 // There is no paper table for this; the paper's adaptivity experiments
 // assume a coordinator that survives being offered more work than the
 // grid can execute.
 
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_util.h"
-#include "storage/datagen.h"
-#include "workload/driver.h"
-#include "workload/grid_setup.h"
 
 using namespace gqp;
 using namespace gqp::bench;
 
 namespace {
 
-constexpr int kNumEvaluators = 2;
-constexpr uint64_t kSeed = 23;
-constexpr size_t kSequences = 100;
-constexpr size_t kInteractions = 150;
 constexpr double kHorizonMs = 12'000.0;
 constexpr double kDeadlineMs = 8000.0;
 constexpr int kTenants = 3;
@@ -47,76 +43,35 @@ constexpr double kOverloadRateQps = 2.0 * kBaselineRateQps;
 // Acceptance gate: admitted p95 under overload vs uncontended baseline.
 constexpr double kP95DegradationBound = 1.5;
 
-Status PopulateGrid(GridSetup* grid) {
-  ProteinSequencesSpec seq_spec;
-  seq_spec.num_rows = kSequences;
-  seq_spec.seed = kSeed;
-  seq_spec.sequence_length = 16;
-  GQP_RETURN_IF_ERROR(grid->AddTable(GenerateProteinSequences(seq_spec)));
-
-  ProteinInteractionsSpec inter_spec;
-  inter_spec.num_rows = kInteractions;
-  inter_spec.num_orfs = kSequences;
-  inter_spec.seed = kSeed + 1000003;
-  GQP_RETURN_IF_ERROR(
-      grid->AddTable(GenerateProteinInteractions(inter_spec)));
-
-  return grid->AddWebService("EntropyAnalyser", DataType::kDouble, 0.21);
-}
-
-DriverConfig MakeWorkload(double rate_qps) {
-  DriverConfig config;
-  config.seed = kSeed;
-  config.horizon_ms = kHorizonMs;
-  config.deadline_ms = kDeadlineMs;
+/// One full simulated run: a fresh two-evaluator grid, the given workload,
+/// admission on or off, held to the chaos runner's invariants. Aborts the
+/// binary on a failed run (a bench that cannot execute its workload must
+/// not report).
+DriverReport RunWorkload(double rate_qps, bool admission_on) {
+  chaos::ChaosScenario scenario;
+  scenario.seed = 23;
+  scenario.sequences = 100;
+  scenario.interactions = 150;
+  scenario.sequence_length = 16;
+  scenario.response = ResponseType::kRetrospective;
+  scenario.storm.seed = scenario.seed;
+  scenario.storm.horizon_ms = kHorizonMs;
+  scenario.storm.deadline_ms = kDeadlineMs;
   for (int t = 0; t < kTenants; ++t) {
     TenantSpec tenant;
     tenant.name = StrCat("t", t);
     tenant.arrival_rate_qps = rate_qps;
     tenant.weight_q1 = 1.0;  // uniform service time keeps p95 comparable
-    config.tenants.push_back(tenant);
+    scenario.storm.tenants.push_back(tenant);
   }
-  config.base_options.adaptivity.enabled = true;
-  config.base_options.adaptivity.response = ResponseType::kRetrospective;
-  config.base_options.exec.monitoring_enabled = true;
-  config.base_options.exec.recovery_log_enabled = true;
-  config.base_options.scheduler.num_evaluators = kNumEvaluators;
-  return config;
-}
-
-/// One full simulated run: fresh grid, the given workload, admission on
-/// or off. Aborts the binary on infrastructure failure (a bench that
-/// cannot execute its workload must not report).
-DriverReport RunWorkload(double rate_qps, bool admission_on) {
-  GridOptions grid_options;
-  grid_options.num_evaluators = kNumEvaluators;
-  grid_options.admission.enabled = admission_on;
+  scenario.admission.enabled = admission_on;
   // A short queue is the point: admitted latency = queue wait + execution,
   // so graceful degradation needs the wait bounded tightly and the excess
   // rejected instead of parked.
-  grid_options.admission.max_concurrent_queries = 3;
-  grid_options.admission.queue_capacity = 2;
-  grid_options.admission.per_tenant_inflight_cap = 2;
-  GridSetup grid(grid_options);
-  if (Status s = grid.Initialize(); !s.ok()) {
-    std::fprintf(stderr, "FATAL: grid init failed: %s\n",
-                 s.ToString().c_str());
-    std::exit(1);
-  }
-  if (Status s = PopulateGrid(&grid); !s.ok()) {
-    std::fprintf(stderr, "FATAL: grid population failed: %s\n",
-                 s.ToString().c_str());
-    std::exit(1);
-  }
-
-  WorkloadDriver driver(MakeWorkload(rate_qps));
-  driver.ScheduleArrivals(&grid);
-  if (Status s = grid.simulator()->Run(); !s.ok()) {
-    std::fprintf(stderr, "FATAL: simulation failed: %s\n",
-                 s.ToString().c_str());
-    std::exit(1);
-  }
-  return driver.Collect(&grid);
+  scenario.admission.max_concurrent_queries = 3;
+  scenario.admission.queue_capacity = 2;
+  scenario.admission.per_tenant_inflight_cap = 2;
+  return MustRunScenario("bench_tenants", scenario).workload;
 }
 
 /// p95 over the completed queries of every tenant, pooled (the per-tenant

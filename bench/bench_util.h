@@ -64,6 +64,22 @@ inline ExperimentResult MustRun(const ExperimentParams& params) {
   return result;
 }
 
+/// Runs a bench's preset scenario through chaos::RunScenario. A red run
+/// prints the bench's name, the scenario's seed and every violation (no
+/// chaos_repro line: no generated scenario replays a preset) and aborts
+/// the binary.
+inline chaos::ChaosRunResult MustRunScenario(
+    const std::string& bench, const chaos::ChaosScenario& scenario) {
+  chaos::ChaosRunResult run = chaos::RunScenario(scenario);
+  if (!run.ok()) {
+    std::fprintf(stderr, "FATAL: %s seed %llu: %s\n", bench.c_str(),
+                 static_cast<unsigned long long>(scenario.seed),
+                 run.Summary().c_str());
+    std::exit(1);
+  }
+  return run;
+}
+
 /// Quick environment flag for shorter runs (REPS=1 in CI loops).
 inline int Repetitions(int fallback = 3) {
   const char* reps = std::getenv("GRIDQP_BENCH_REPS");

@@ -215,11 +215,11 @@ int main(int argc, char** argv) {
           "queued_bytes_peak=%llu rounds_applied=%llu\n",
           q.query_id, gqp::QueryKindName(q.kind).c_str(),
           q.completed ? "completed" : "INCOMPLETE", q.rows, q.response_ms,
-          static_cast<unsigned long long>(q.queued_bytes_peak),
-          static_cast<unsigned long long>(q.rounds_applied));
+          static_cast<unsigned long long>(q.stats.queued_bytes_peak),
+          static_cast<unsigned long long>(q.stats.rounds_applied));
     }
   }
-  if (scenario.storm_tenants > 0) {
+  if (!scenario.storm.tenants.empty()) {
     std::fputs(first.workload.Render().c_str(), stdout);
     std::printf(
         "admission: submitted=%llu admitted=%llu queue_full=%llu "

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "monitor/monitoring_event_detector.h"
 #include "storage/datagen.h"
 
 namespace gqp {
@@ -326,6 +327,48 @@ void CheckConservation(GridSetup* grid, int query_id,
         }
       }
     }
+  }
+}
+
+void CheckMonitoring(GridSetup* grid, int query_id,
+                     const QueryStatsSnapshot& stats,
+                     std::vector<std::string>* violations) {
+  uint64_t m1_sent = 0;
+  uint64_t m2_sent = 0;
+  const int num_hosts = grid->num_hosts();
+  for (int host = 0; host < num_hosts; ++host) {
+    Gqes* gqes = grid->gqes_on(static_cast<HostId>(host));
+    if (gqes == nullptr) continue;
+    for (const FragmentExecutor* exec : gqes->Executors()) {
+      if (exec->plan().id.query != query_id) continue;
+      m1_sent += exec->stats().m1_sent;
+      m2_sent += exec->stats().m2_sent;
+    }
+  }
+  if (stats.raw_m1 != m1_sent || stats.raw_m2 != m2_sent) {
+    violations->push_back(StrCat(
+        "[monitoring] query ", query_id, " was credited raw_m1=", stats.raw_m1,
+        " raw_m2=", stats.raw_m2, " but its executors sent ", m1_sent, " M1 and ",
+        m2_sent, " M2 events"));
+  }
+}
+
+void CheckMonitoringTotals(GridSetup* grid, uint64_t raw_m1, uint64_t raw_m2,
+                           std::vector<std::string>* violations) {
+  uint64_t m1_total = 0;
+  uint64_t m2_total = 0;
+  const int num_hosts = grid->num_hosts();
+  for (int host = 0; host < num_hosts; ++host) {
+    Gqes* gqes = grid->gqes_on(static_cast<HostId>(host));
+    if (gqes == nullptr || gqes->med() == nullptr) continue;
+    m1_total += gqes->med()->stats().raw_m1;
+    m2_total += gqes->med()->stats().raw_m2;
+  }
+  if (raw_m1 != m1_total || raw_m2 != m2_total) {
+    violations->push_back(StrCat(
+        "[monitoring] per-query slices sum to raw_m1=", raw_m1,
+        " raw_m2=", raw_m2, " but the MEDs counted ", m1_total, " M1 and ",
+        m2_total, " M2 events"));
   }
 }
 

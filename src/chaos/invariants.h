@@ -21,7 +21,11 @@
 //       counted per watch epoch (unless no epoch after the crash lasted
 //       the full budget or the last-survivor guard applied);
 //   (f) bounded memory (flow-control runs) — every queue, producer buffer
-//       and recovery log stays inside its configured bound.
+//       and recovery log stays inside its configured bound;
+//   (g) monitoring attribution (adaptive runs without loss, partitions,
+//       crashes or takeover) — every raw M1/M2 event counts toward the
+//       query that emitted it, and the per-query slices sum to the MEDs'
+//       totals.
 //
 // Under admission control the runner also reconciles the controller's
 // ledger with what the clients saw.
@@ -113,6 +117,20 @@ void CheckBoundedMemory(GridSetup* grid, int query_id,
                         size_t max_tuple_wire_bytes, size_t max_fanout,
                         uint64_t dataset_wire_bytes,
                         std::vector<std::string>* violations);
+
+/// Invariant (g) for one completed query: the MEDs are shared by every
+/// live query, yet `stats.raw_m1`/`raw_m2`, the slice the coordinator
+/// collected for `query_id`, must equal the m1_sent/m2_sent sums of that
+/// query's own executors. Holds only when every sent event reached its
+/// MED: no loss, no partition, no crash and no takeover.
+void CheckMonitoring(GridSetup* grid, int query_id,
+                     const QueryStatsSnapshot& stats,
+                     std::vector<std::string>* violations);
+
+/// Invariant (g), site-wide: the slices of every query that ran, summed
+/// (`raw_m1`, `raw_m2`), equal the MEDs' total raw event counts.
+void CheckMonitoringTotals(GridSetup* grid, uint64_t raw_m1, uint64_t raw_m2,
+                           std::vector<std::string>* violations);
 
 }  // namespace chaos
 }  // namespace gqp

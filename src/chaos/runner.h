@@ -8,9 +8,13 @@
 // repro command, so a red sweep entry is immediately replayable:
 // `chaos_repro --seed=N`.
 //
-// The paper's evaluation cells (ExperimentParams) run through the same
-// runner: RunExperiment turns each repetition into a zero-fault scenario,
-// so every paper cell is held to the same invariants.
+// Presets run through the same runner and are held to the same
+// invariants: RunExperiment turns each repetition of a paper cell
+// (ExperimentParams) into a zero-fault scenario, and bench_multiquery and
+// bench_tenants each build theirs by hand. No generated scenario replays
+// a preset, so a red preset names itself and prints `Summary()` instead of
+// the repro line. This file is the only place that builds a grid for any
+// of them.
 
 #ifndef GRIDQP_CHAOS_RUNNER_H_
 #define GRIDQP_CHAOS_RUNNER_H_
@@ -45,9 +49,9 @@ struct QueryOutcome {
   QueryKind kind = QueryKind::kQ1;
   bool completed = false;
   size_t rows = 0;
+  double submit_ms = 0.0;
   double response_ms = 0.0;
-  uint64_t queued_bytes_peak = 0;
-  uint64_t rounds_applied = 0;
+  QueryStatsSnapshot stats;
 };
 
 struct ChaosRunResult {
@@ -110,12 +114,15 @@ struct ChaosRunResult {
   bool ok() const { return status.ok() && violations.empty(); }
   /// Violations joined into one report; a red one ends with the repro.
   std::string Report() const;
+  /// The run error and the violations on one line, without the repro: a
+  /// red preset prints this after its own name and seed.
+  std::string Summary() const;
 };
 
-/// Runs one scenario and checks invariants (a), (b), (d), (e) and (f), the
-/// terminal trichotomy and, under admission control, the admission
-/// ledger (invariants.h). Invariant (c) is checked by running the same
-/// scenario twice and comparing trace/results (see
+/// Runs one scenario and checks invariants (a), (b), (d), (e), (f) and
+/// (g), the terminal trichotomy and, under admission control, the
+/// admission ledger (invariants.h). Invariant (c) is checked by running
+/// the same scenario twice and comparing trace/results (see
 /// tests/chaos/determinism_test.cc).
 ChaosRunResult RunScenario(const ChaosScenario& scenario,
                            const ChaosRunOptions& options = {});
@@ -139,7 +146,8 @@ struct ExperimentParams : RunSpec {
   /// imbalance. 0 disables.
   double drift_sigma = 0.35;
   /// GDQS admission control (D16) with its default caps — wide enough
-  /// that a single query admits instantly.
+  /// that a single query admits instantly — and no global memory budget,
+  /// so flow control keeps the cell's `memory_budget_bytes`.
   bool admission_control = false;
   int repetitions = 3;
 
@@ -160,8 +168,9 @@ struct ExperimentResult {
 
 /// Runs the cell. Repetition `rep` is the zero-fault chaos scenario of
 /// seed `seed + rep`, checked like any scenario: (a) results, (b)
-/// conservation, (d) termination, and (f) under flow control. A violation
-/// fails the cell, naming it and the repetition's seed.
+/// conservation, (d) termination, (f) under flow control and (g) with
+/// adaptivity on. A violation fails the cell, naming it and the
+/// repetition's seed.
 ExperimentResult RunExperiment(const ExperimentParams& params);
 
 /// response / baseline, guarding division by zero.

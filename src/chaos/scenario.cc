@@ -154,14 +154,17 @@ std::string ChaosScenario::Describe() const {
     }
     out += "]";
   }
-  if (storm_tenants > 0) {
-    out += StrCat(" storm=[tenants=", storm_tenants, " rate=", storm_rate_qps,
-                  "qps burst=", storm_burst_multiplier,
-                  "x horizon=", storm_horizon_ms,
-                  "ms queue=", storm_queue_capacity,
-                  " conc=", storm_max_concurrent,
-                  " pertenant=", storm_per_tenant_cap,
-                  " deadline=", deadline_ms, "]");
+  if (!storm.tenants.empty()) {
+    // Tenant 0 is the bursting one; the others share its base rate.
+    const TenantSpec& first = storm.tenants.front();
+    out += StrCat(" storm=[tenants=", storm.tenants.size(),
+                  " rate=", first.arrival_rate_qps,
+                  "qps burst=", first.burst_multiplier,
+                  "x horizon=", storm.horizon_ms,
+                  "ms queue=", admission.queue_capacity,
+                  " conc=", admission.max_concurrent_queries,
+                  " pertenant=", admission.per_tenant_inflight_cap,
+                  " deadline=", storm.deadline_ms, "]");
   }
   return out;
 }
@@ -423,14 +426,35 @@ ChaosScenario GenerateScenario(uint64_t seed, ChaosProfile profile) {
     // cost linear in the arrival count; seed diversity comes from the
     // rates, caps and kill schedule. Retrospective response throughout:
     // the mix includes stateful partitioned operators (join, aggregate).
-    s.storm_tenants = storm_tenants;
-    s.storm_rate_qps = storm_rate_qps;
-    s.storm_burst_multiplier = storm_burst_multiplier;
-    s.storm_horizon_ms = storm_horizon_ms;
-    s.storm_queue_capacity = storm_queue_capacity;
-    s.storm_max_concurrent = storm_max_concurrent;
-    s.storm_per_tenant_cap = storm_per_tenant_cap;
-    s.deadline_ms = storm_deadline_ms;
+    s.storm.seed = seed ^ 0x7E4A47ULL;
+    s.storm.horizon_ms = storm_horizon_ms;
+    s.storm.deadline_ms = storm_deadline_ms;
+    s.storm.max_queries = 300;
+    for (int i = 0; i < storm_tenants; ++i) {
+      TenantSpec tenant;
+      tenant.name = StrCat("t", i);
+      tenant.arrival_rate_qps = storm_rate_qps;
+      if (i == 0) {
+        // The heaviest tenant: periodic bursts on top of the base rate —
+        // the shedding target when sustained queue pressure hits.
+        tenant.burst_period_ms = storm_horizon_ms / 3.0;
+        tenant.burst_duty = 0.4;
+        tenant.burst_multiplier = storm_burst_multiplier;
+      }
+      tenant.weight_q1 = 1.0;
+      tenant.weight_q2 = 0.5;
+      tenant.weight_scan_agg = 0.5;
+      s.storm.tenants.push_back(std::move(tenant));
+    }
+    s.admission.enabled = true;
+    s.admission.queue_capacity = static_cast<size_t>(storm_queue_capacity);
+    s.admission.max_concurrent_queries = storm_max_concurrent;
+    s.admission.per_tenant_inflight_cap = storm_per_tenant_cap;
+    // Each admitted query's share of the global pool lands near the
+    // per-query budget.
+    s.admission.global_memory_budget_bytes =
+        static_cast<uint64_t>(mq_budget_bytes) *
+        static_cast<uint64_t>(storm_max_concurrent);
     s.sequences = 80;
     s.interactions = 120;
     s.sequence_length = 16;

@@ -25,7 +25,7 @@ class TenantStormSweepTest : public ::testing::TestWithParam<uint64_t> {};
 void RunStorm(uint64_t seed, size_t batch_size) {
   ChaosScenario scenario = GenerateScenario(seed, ChaosProfile::kTenantStorm);
   scenario.vector_batch_size = batch_size;
-  ASSERT_GE(scenario.storm_tenants, 2);
+  ASSERT_GE(scenario.storm.tenants.size(), 2u);
   ASSERT_EQ(scenario.failures.size(), 1u);
 
   const ChaosRunResult result = RunScenario(scenario, ChaosRunOptions{});
@@ -48,7 +48,7 @@ void RunStorm(uint64_t seed, size_t batch_size) {
             w.rejected)
       << scenario.Describe();
   EXPECT_LE(result.admission.queue_peak,
-            static_cast<size_t>(scenario.storm_queue_capacity));
+            scenario.admission.queue_capacity);
   EXPECT_EQ(result.admission.submitted, w.submitted);
   EXPECT_LE(result.admission.admitted, result.admission.submitted);
 
@@ -56,7 +56,7 @@ void RunStorm(uint64_t seed, size_t batch_size) {
   // controller must have been exercised: something completed (the grid
   // was not wedged) and per-tenant accounting adds up.
   EXPECT_GT(w.completed, 0u) << scenario.Describe();
-  ASSERT_EQ(w.tenants.size(), static_cast<size_t>(scenario.storm_tenants));
+  ASSERT_EQ(w.tenants.size(), scenario.storm.tenants.size());
   uint64_t tenant_submitted = 0;
   for (const TenantReport& t : w.tenants) {
     tenant_submitted += t.submitted;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/runner.h"
 #include "storage/datagen.h"
 
 namespace gqp {
@@ -127,6 +128,40 @@ TEST(CheckResultsTest, DuplicateDoesNotHideALossUnderAtLeastOnce) {
   EXPECT_EQ(Check(Want(), Rows({2, 2, 3, 3}), {true, 5, 2}),
             std::vector<std::string>{
                 "[results] lost result rows: [[ORF00001] (want 1, got 0)]"});
+}
+
+// Invariant (g) end to end: a Q1 and an overlapping Q2 on a fault-free
+// grid. The run is green only if each query's MED slice equals its own
+// executors' M1/M2 sends and the slices sum to the MEDs' totals.
+TEST(CheckMonitoringTest, OverlappingQueriesAreCreditedTheirOwnEvents) {
+  ChaosScenario scenario;
+  scenario.sequences = 200;
+  scenario.interactions = 300;
+  scenario.sequence_length = 16;
+  scenario.response = ResponseType::kRetrospective;
+  scenario.extra_queries = {{QueryKind::kQ2, 5.0}};
+  const ChaosRunResult run = RunScenario(scenario);
+  ASSERT_TRUE(run.ok()) << run.Summary();
+  ASSERT_EQ(run.per_query.size(), 2u);
+  for (const QueryOutcome& q : run.per_query) {
+    EXPECT_GT(q.stats.raw_m1, 0u) << "q" << q.query_id;
+  }
+}
+
+TEST(CheckMonitoringTest, EventsNoExecutorSentAreRed) {
+  GridSetup grid(GridOptions{});
+  ASSERT_TRUE(grid.Initialize().ok());
+  QueryStatsSnapshot stats;
+  stats.raw_m1 = 3;
+  std::vector<std::string> violations;
+  CheckMonitoring(&grid, 1, stats, &violations);
+  CheckMonitoringTotals(&grid, 3, 0, &violations);
+  EXPECT_EQ(violations,
+            (std::vector<std::string>{
+                "[monitoring] query 1 was credited raw_m1=3 raw_m2=0 but its "
+                "executors sent 0 M1 and 0 M2 events",
+                "[monitoring] per-query slices sum to raw_m1=3 raw_m2=0 but "
+                "the MEDs counted 0 M1 and 0 M2 events"}));
 }
 
 }  // namespace

@@ -108,6 +108,28 @@ TEST(ExperimentTest, DeterministicPerSeed) {
   EXPECT_NE(a.response_ms, c.response_ms);
 }
 
+TEST(ExperimentTest, AdmissionKeepsTheCellsMemoryBudget) {
+  // Admission control with its default caps admits a lone query at once
+  // and has no global budget to share out: the cell's flow control keeps
+  // the per-query budget it asked for.
+  ExperimentParams p;
+  p.name = "flow-control";
+  p.sequences = 1000;
+  p.interactions = 1500;
+  p.flow_control = true;
+  p.memory_budget_bytes = 16 * 1024;
+  p.repetitions = 1;
+  const ExperimentResult alone = RunExperiment(p);
+  ASSERT_TRUE(alone.ok) << alone.error;
+  p.admission_control = true;
+  const ExperimentResult admitted = RunExperiment(p);
+  ASSERT_TRUE(admitted.ok) << admitted.error;
+  EXPECT_EQ(admitted.stats.queued_bytes_peak, alone.stats.queued_bytes_peak);
+  // The admission round trip costs the coordinator a little virtual time,
+  // nothing like a budget eight times wider.
+  EXPECT_NEAR(admitted.response_ms, alone.response_ms, 1.0);
+}
+
 TEST(GridSetupTest, TopologyAccessors) {
   GridOptions options;
   options.num_evaluators = 3;
