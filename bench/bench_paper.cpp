@@ -1,6 +1,7 @@
-// The paper's evaluation (Section 3.2: Table 1, Figs. 2-5) plus the tuning
-// ablation, held as data. Each figure is a grid of cells over one base
-// ExperimentParams; each claim bounds ratios of its cells. One runner
+// The paper's evaluation (Section 3.2: Table 1, Figs. 2-5, the overheads
+// and the monitoring message volumes) plus the tuning ablation, held as
+// data. Each figure is a grid of cells over one base ExperimentParams;
+// each claim bounds ratios of its cells. One runner
 // executes every distinct parameter set once (3 seeded repetitions, as in
 // the paper), one printer renders every figure as a markdown grid, every
 // value lands in BENCH_paper.json as "<figure>.<key>", and the binary exits
@@ -31,6 +32,37 @@ using Delta = std::function<void(ExperimentParams&)>;
 using Keys = std::vector<std::string>;
 using Pairs = std::vector<std::pair<std::string, std::string>>;
 
+/// What a cell reports of its run, and its print format. Without `of` the
+/// cell reports its run's ratio to the cell's static baseline.
+struct Report {
+  std::function<double(const ExperimentResult&)> of{};
+  const char* format = "%.3f";
+};
+
+const Report kVirtualMs{[](const ExperimentResult& r) { return r.response_ms; },
+                        "%.1f ms"};
+
+/// The larger over the smaller tuple count of the monitored fragment's
+/// first two evaluators (1 with fewer, 0 when one of them got none).
+const Report kTupleRatio{[](const ExperimentResult& r) {
+                           const std::vector<uint64_t>& tuples =
+                               r.stats.tuples_per_evaluator;
+                           if (tuples.size() < 2) return 1.0;
+                           const double a = static_cast<double>(tuples[0]);
+                           const double b = static_cast<double>(tuples[1]);
+                           if (a <= 0 || b <= 0) return 0.0;
+                           return std::max(a, b) / std::min(a, b);
+                         },
+                         "%.2f"};
+
+/// One of the last repetition's self-monitoring counters.
+Report Counter(uint64_t QueryStatsSnapshot::*counter) {
+  return {[=](const ExperimentResult& r) {
+            return static_cast<double>(r.stats.*counter);
+          },
+          "%.0f"};
+}
+
 /// One row or column of a figure's grid.
 struct Axis {
   std::string label;
@@ -41,8 +73,8 @@ struct Axis {
   /// The delta also shapes the static run the cell is normalised by
   /// (query, response type or dataset size), not only the measured run.
   bool workload = false;
-  /// Column only: the cell reports its run's virtual ms, not a ratio.
-  bool raw_ms = false;
+  /// Column only: what the cell reports of its run.
+  Report report{};
 };
 
 /// Claim right-hand sides that are not cells.
@@ -205,7 +237,7 @@ std::vector<Figure> PaperFigures() {
        .rows = {Policy("Q1 - R2", "Q1_R2", kQ1, kA1, kR2, true),
                 Policy("Q1 - R1", "Q1_R1", kQ1, kA1, kR1, true),
                 Policy("Q2 - R1", "Q2_R1", kQ2, kA1, kR1, true)},
-       .cols = {{"no ad / no imb", "*_base_ms", Static, false, true},
+       .cols = {{"no ad / no imb", "*_base_ms", Static, false, kVirtualMs},
                 {"ad / no imb", "*_ad_noimb", {}},
                 {"no ad / imb", "*_noad_imb",
                  [](ExperimentParams& p) {
@@ -400,6 +432,80 @@ std::vector<Figure> PaperFigures() {
   ablation.claims = {Within("every cell is within ±10 % of the default cell",
                             Over("*", "thresA_0.2", settings), 0.10)};
   figures.push_back(ablation);
+
+  // §3.2's overheads: adaptivity and each control-plane extension switched
+  // on over a static, unimbalanced Q1.
+  auto adaptive = [](ResponseType r) -> Delta {
+    return [=](ExperimentParams& p) {
+      p.adaptivity = true;
+      p.response = r;
+    };
+  };
+  Figure overheads{
+      .name = "overheads",
+      .title = "Overheads — Q1 without imbalance: adaptivity and the control "
+               "plane over the static system",
+      .row_header = "switched on",
+      .base = Base(kQ1, kR2),
+      .rows = {{"adaptivity, R2", "R2", adaptive(kR2)},
+               {"adaptivity, R1", "R1", adaptive(kR1)},
+               {"failure detection", "heartbeat",
+                [](ExperimentParams& p) { p.failure_detection = true; }},
+               {"flow control (4 MiB)", "flow_control",
+                [](ExperimentParams& p) {
+                  p.flow_control = true;
+                  p.memory_budget_bytes = 4 << 20;
+                }},
+               {"coordinator standby", "standby",
+                [](ExperimentParams& p) { p.coordinator_standby = true; }},
+               {"admission control", "admission",
+                [](ExperimentParams& p) { p.admission_control = true; }}},
+      .cols = {{"normalised", "*", {}},
+               {"tuple ratio", "*_tuple_ratio", {}, false, kTupleRatio}},
+      .paper = {{"R2", 1.059}, {"R1", 1.153},
+                {"R2_tuple_ratio", 1.21}, {"R1_tuple_ratio", 1.01}},
+      .claims = {AtMost("each control-plane extension costs ≤ 5 % when "
+                        "nothing fails or overloads",
+                        Over("*", kUnit,
+                             {"heartbeat", "flow_control", "standby",
+                              "admission"}),
+                        1.05)}};
+  Static(overheads.base);
+  figures.push_back(overheads);
+
+  // §3.2's message volumes: raw M1/M2 events, MED digests to the Diagnoser,
+  // its proposals and the rebalances applied (last repetition), by how
+  // often M1 is sampled.
+  Figure monitoring{
+      .name = "monitoring",
+      .title = "Monitoring — Q1, A1 + R2, one WS call 10× costlier, M1 raised "
+               "every 10/20/30 tuples or never",
+      .row_header = "M1 frequency",
+      .base = Base(kQ1, kR2),
+      .cols = {{"normalised", "freq_*", {}},
+               {"raw M1", "raw_m1_*", {}, false,
+                Counter(&QueryStatsSnapshot::raw_m1)},
+               {"raw M2", "raw_m2_*", {}, false,
+                Counter(&QueryStatsSnapshot::raw_m2)},
+               {"MED digests", "digests_*", {}, false,
+                Counter(&QueryStatsSnapshot::med_notifications)},
+               {"proposals", "proposals_*", {}, false,
+                Counter(&QueryStatsSnapshot::diagnoser_proposals)},
+               {"rebalances", "rebalances_*", {}, false,
+                Counter(&QueryStatsSnapshot::rounds_applied)}},
+      .claims = {
+          Within("with monitoring off, adaptive is within 2 % of static",
+                 {{"freq_off", "fig2a.noad_10x"}}, 0.02),
+          AtMost("not flooded: MED digests ≤ 10 % of raw M1",
+                 Over("digests_*", "raw_m1_*", {"10", "20", "30"}), 0.10)}};
+  monitoring.base.perturbations = {FactorSpec(0, 10)};
+  for (const size_t freq : {0, 10, 20, 30}) {
+    monitoring.rows.push_back(
+        {freq == 0 ? "off" : StrCat("1/", freq),
+         freq == 0 ? "off" : StrCat(freq),
+         [=](ExperimentParams& p) { p.m1_frequency = freq; }});
+  }
+  figures.push_back(monitoring);
   return figures;
 }
 
@@ -415,7 +521,7 @@ struct Run {
 struct Cell {
   std::string key;  // "<figure>.<key>"
   int row = -1;     // grid row; -1 for "baseline_ms"
-  bool raw_ms = false;
+  Report report;
   double paper = kNoPaper;
   size_t run = 0;
   size_t baseline = 0;
@@ -445,7 +551,7 @@ std::vector<Cell> Cells(const Figure& f, std::vector<Run>& runs) {
       std::none_of(f.cols.begin(), f.cols.end(), workload)) {
     const std::string key = f.name + ".baseline_ms";
     const size_t run = intern_static(f.base, key);
-    cells.push_back({key, -1, true, kNoPaper, run, run});
+    cells.push_back({key, -1, kVirtualMs, kNoPaper, run, run});
   }
   for (size_t r = 0; r < f.rows.size(); ++r) {
     const Axis& row = f.rows[r];
@@ -459,7 +565,7 @@ std::vector<Cell> Cells(const Figure& f, std::vector<Run>& runs) {
       }
       const std::string key = Fill(col.key, row.key);
       const auto paper = f.paper.find(key);
-      Cell cell{f.name + "." + key, static_cast<int>(r), col.raw_ms,
+      Cell cell{f.name + "." + key, static_cast<int>(r), col.report,
                 paper == f.paper.end() ? kNoPaper : paper->second};
       cell.run = Intern(runs, params, cell.key);
       cell.baseline = intern_static(baseline, cell.key);
@@ -470,9 +576,9 @@ std::vector<Cell> Cells(const Figure& f, std::vector<Run>& runs) {
 }
 
 std::string Render(const Cell& cell) {
-  if (cell.raw_ms) return StrFormat("%.1f ms", cell.value);
-  if (std::isnan(cell.paper)) return StrFormat("%.3f", cell.value);
-  return StrFormat("%.3f (paper %g)", cell.value, cell.paper);
+  const std::string value = StrFormat(cell.report.format, cell.value);
+  if (std::isnan(cell.paper)) return value;
+  return StrFormat("%s (paper %g)", value.c_str(), cell.paper);
 }
 
 void PrintGrid(const Figure& f, const std::vector<Cell>& cells) {
@@ -588,8 +694,8 @@ int main() {
   for (size_t i = 0; i < figures.size(); ++i) {
     for (Cell& cell : cells[i]) {
       const ExperimentResult& result = runs[cell.run].result;
-      cell.value = cell.raw_ms
-                       ? result.response_ms
+      cell.value = cell.report.of
+                       ? cell.report.of(result)
                        : Normalized(result, runs[cell.baseline].result);
       metrics.Set(cell.key, cell.value);
       by_key[cell.key] = &cell;

@@ -1,8 +1,9 @@
 // Shared reporting helpers for the benchmark binaries. bench_paper
-// regenerates the paper's whole evaluation; the others measure the engine.
-// Each prints a human-readable table and emits a machine-readable
-// BENCH_<name>.json next to it so repeated runs accumulate a perf
-// trajectory (see README "Benchmarking").
+// regenerates the paper's whole evaluation; bench_hotpath measures the
+// engine's wall clock; bench_multiquery and bench_tenants are presets over
+// the chaos runner. Each prints a human-readable table and emits a
+// machine-readable BENCH_<name>.json next to it so repeated runs
+// accumulate a perf trajectory (see README "Benchmarking").
 
 #ifndef GRIDQP_BENCH_BENCH_UTIL_H_
 #define GRIDQP_BENCH_BENCH_UTIL_H_
@@ -80,7 +81,7 @@ inline chaos::ChaosRunResult MustRunScenario(
   return run;
 }
 
-/// Quick environment flag for shorter runs (REPS=1 in CI loops).
+/// bench_hotpath's repetitions: GRIDQP_BENCH_REPS when set (CI uses 1).
 inline int Repetitions(int fallback = 3) {
   const char* reps = std::getenv("GRIDQP_BENCH_REPS");
   if (reps == nullptr) return fallback;
